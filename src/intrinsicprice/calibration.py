@@ -27,7 +27,7 @@ import scipy.optimize
 from .conventions import MarketConventions
 from .errors import DomainError, EstimationError, NumericError
 from .measure import GirsanovParam
-from .model import SupplyParams, _leg_expectation
+from .model import SupplyParams, _leg_moments
 from .ou import OuParams, fit_mle
 from .seasonality import Calendar, SeasonalityModel, evaluate, fit, price_seasonality_target
 
@@ -138,8 +138,7 @@ def model_spot_prices(ou: OuParams, supply: SupplyParams, theta: float,
     g_q = g_tilde_tau_e - drift * tau_e
 
     def both_legs(horizon, x):
-        leg1 = _leg_expectation(supply.alpha1, supply.beta1, ou, g_q, horizon, x)
-        leg2 = _leg_expectation(supply.alpha2, supply.beta2, ou, g_q, horizon, x)
+        leg1, leg2 = _leg_moments(supply, ou, g_q, horizon, x)
         return leg1 - leg2
 
     x_spot = x_tilde_spot + drift * tau

@@ -249,10 +249,8 @@ def _cmd_risk_premium(args) -> int:
         raise DomainError("need t_step > 0 and t_end >= t_start")
     n_points = int(np.floor((args.t_end - args.t_start) / args.t_step + 1e-9)) + 1
     t_grid = args.t_start + args.t_step * np.arange(n_points)
-    lines = ["t,premium"]
-    for t in t_grid:
-        pi = risk_premium(model, theta, float(t), args.tau, args.x_tilde)
-        lines.append(f"{float(t)!r},{float(pi)!r}")
+    premium = risk_premium(model, theta, t_grid, args.tau, args.x_tilde)
+    lines = ["t,premium"] + [f"{t!r},{pi!r}" for t, pi in zip(t_grid.tolist(), premium.tolist())]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {t_grid.size} premium points to {args.out}")
     return 0

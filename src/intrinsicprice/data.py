@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .calibration import MarketSeries, model_spot_prices
 from .conventions import MarketConventions
 from .errors import DomainError, ParseError
 from .measure import p_seasonality_from_q
 from .model import ModelQ, SupplyParams
-from .ou import OuParams, transition
+from .ou import OuParams, _sample_path
 from .seasonality import Calendar, SeasonalityModel, evaluate
 
 
@@ -136,19 +135,6 @@ def price_coverage(series: MarketSeries) -> dict[str, dict]:
     return out
 
 
-def _simulate_deviation(ou: OuParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Centred OU sampled hourly by the exact recursion (vectorised as an
-    AR(1) filter)."""
-    decay = np.exp(-ou.lam)
-    _, step_var = transition(ou, 0.0, 1.0)
-    shocks = np.sqrt(step_var) * rng.standard_normal(n - 1)
-    x = np.empty(n)
-    x[0] = ou.x0
-    if n > 1:
-        x[1:] = scipy.signal.lfilter([1.0], [1.0, -decay], shocks, zi=[decay * ou.x0])[0]
-    return x
-
-
 def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
                        seed: int, monthly_theta: dict[str, float] | None = None) -> MarketSeries:
     """Simulate a market series consistent with the calibration machinery.
@@ -177,7 +163,7 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     epoch = model.load_seasonality.epoch
     taus = np.arange(n, dtype=float)
     g_tilde = p_seasonality_from_q(model.load_seasonality, model.ou, theta)
-    deviation = _simulate_deviation(model.ou, n, rng)
+    deviation = _sample_path(model.ou, np.ones(n - 1), rng)
     load = evaluate(g_tilde, taus) + deviation
 
     lag = int(conv.delta)

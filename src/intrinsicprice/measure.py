@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelQ, _leg_expectation, _maybe_scalar
+from .model import ModelQ, _legs, _maybe_scalar, _pick_leg
 from .ou import OuParams
-from .seasonality import SeasonalityModel, evaluate
+from .seasonality import SeasonalityModel
 
 _MODES = ("first_order", "exact")
 
@@ -49,8 +49,8 @@ def _check_mode(mode: str):
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def real_world_seasonality(g_value, ou: OuParams, theta: float, tau, mode: str = "first_order"):
-    """Real-world load seasonality value from the pricing-measure value at ``tau``."""
+def _add_drift_shift(value, ou: OuParams, theta: float, tau, mode: str):
+    """``value`` plus the load shift the measure drift builds up by ``tau``."""
     _check_mode(mode)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
@@ -59,7 +59,12 @@ def real_world_seasonality(g_value, ou: OuParams, theta: float, tau, mode: str =
         shift = -np.expm1(-ou.lam * tau) * ou.sigma * theta
     else:
         shift = ou.lam * ou.sigma * theta * tau
-    return _maybe_scalar(g_value + shift, g_value, tau)
+    return _maybe_scalar(value + shift, value, tau)
+
+
+def real_world_seasonality(g_value, ou: OuParams, theta: float, tau, mode: str = "first_order"):
+    """Real-world load seasonality value from the pricing-measure value at ``tau``."""
+    return _add_drift_shift(g_value, ou, theta, tau, mode)
 
 
 def to_risk_neutral_state(x_tilde, ou: OuParams, theta: float, tau,
@@ -70,15 +75,7 @@ def to_risk_neutral_state(x_tilde, ou: OuParams, theta: float, tau,
     First order: ``x~ + lam sigma theta tau`` (the calibration convention);
     exact: ``x~ + (1 - e^{-lam tau}) sigma theta``.
     """
-    _check_mode(mode)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise DomainError("tau must be non-negative")
-    if mode == "exact":
-        shift = -np.expm1(-ou.lam * tau) * ou.sigma * theta
-    else:
-        shift = ou.lam * ou.sigma * theta * tau
-    return _maybe_scalar(x_tilde + shift, x_tilde, tau)
+    return _add_drift_shift(x_tilde, ou, theta, tau, mode)
 
 
 def p_seasonality_from_q(g: SeasonalityModel, ou: OuParams, theta: float) -> SeasonalityModel:
@@ -116,18 +113,13 @@ def radon_nikodym_path(drift: float, w_increments, grid) -> np.ndarray:
     return np.concatenate([ones, np.exp(log_density)], axis=-1)
 
 
-def _real_world_leg(model: ModelQ, theta: float, i: int, t, tau, x_tilde):
-    conv = model.conv
+def _real_world_legs(model: ModelQ, theta: float, t, tau, x_tilde):
+    """Real-world leg moments: the pricing-measure kernel at the deviation
+    ``x_tilde`` with the load moved by ``e^{-lam eps}(1 - e^{-lam tau}) sigma theta``."""
     ou = model.ou
     tau_arr = np.asarray(tau, dtype=float)
-    tau_e = tau_arr + conv.epsilon
-    horizon = tau_e - np.asarray(t, dtype=float)
-    if np.any(horizon < 0):
-        raise DomainError("real-world leg expectation requires t <= tau + epsilon")
-    alpha, beta = model.supply.leg(i)
-    g_tau_e = evaluate(model.load_seasonality, tau_e)
-    drift_shift = np.exp(-ou.lam * conv.epsilon) * -np.expm1(-ou.lam * tau_arr) * ou.sigma * theta
-    return _leg_expectation(alpha, beta, ou, g_tau_e + drift_shift, horizon, x_tilde)
+    shift = np.exp(-ou.lam * model.conv.epsilon) * -np.expm1(-ou.lam * tau_arr) * ou.sigma * theta
+    return _legs(model, t, tau, x_tilde, load_shift=shift)
 
 
 def supply_leg_real_world_expectation(model: ModelQ, theta: float, i: int, t, tau, x_tilde):
@@ -139,7 +131,7 @@ def supply_leg_real_world_expectation(model: ModelQ, theta: float, i: int, t, ta
     that carries the accumulated measure drift.  At ``theta = 0`` it
     coincides exactly with :func:`intrinsicprice.model.supply_leg_expectation`.
     """
-    value = _real_world_leg(model, theta, i, t, tau, x_tilde)
+    value = _pick_leg(i, _real_world_legs(model, theta, t, tau, x_tilde))
     return _maybe_scalar(value, t, tau, x_tilde)
 
 
@@ -151,16 +143,6 @@ def risk_premium(model: ModelQ, theta: float, t, tau, x_tilde):
     ``theta = 0``.
     """
     x = to_risk_neutral_state(x_tilde, model.ou, theta, t)
-    conv = model.conv
-    tau_e = np.asarray(tau, dtype=float) + conv.epsilon
-    horizon = tau_e - np.asarray(t, dtype=float)
-    if np.any(horizon < 0):
-        raise DomainError("risk premium requires t <= tau + epsilon")
-    alpha1, beta1 = model.supply.leg(1)
-    alpha2, beta2 = model.supply.leg(2)
-    g_tau_e = evaluate(model.load_seasonality, tau_e)
-    leg1 = _leg_expectation(alpha1, beta1, model.ou, g_tau_e, horizon, x)
-    leg2 = _leg_expectation(alpha2, beta2, model.ou, g_tau_e, horizon, x)
-    leg1_p = _real_world_leg(model, theta, 1, t, tau, x_tilde)
-    leg2_p = _real_world_leg(model, theta, 2, t, tau, x_tilde)
+    _, leg1, leg2 = _legs(model, t, tau, x)
+    _, leg1_p, leg2_p = _real_world_legs(model, theta, t, tau, x_tilde)
     return _maybe_scalar((leg1 - leg2) - (leg1_p - leg2_p), t, tau, x_tilde)

@@ -45,13 +45,6 @@ class SupplyParams:
         if not self.alpha2 < 0:
             raise DomainError(f"alpha2 must be negative, got {self.alpha2}")
 
-    def leg(self, i: int) -> tuple[float, float]:
-        if i == 1:
-            return self.alpha1, self.beta1
-        if i == 2:
-            return self.alpha2, self.beta2
-        raise DomainError(f"supply leg must be 1 or 2, got {i}")
-
 
 @dataclass(frozen=True)
 class ModelQ:
@@ -87,12 +80,40 @@ def intrinsic_price(model: ModelQ, load_at_tau_e, tau):
     return _maybe_scalar(leg1 - leg2 + g3, load_at_tau_e, tau)
 
 
-def _leg_expectation(alpha: float, beta: float, ou: OuParams, g_tau_e, horizon, x):
-    """Conditional moment E[exp(alpha (G_{tau_e} - beta)) | X_t = x] over ``horizon = tau_e - t``."""
+def _leg_moments(supply: SupplyParams, ou: OuParams, g_tau_e, horizon, x):
+    """Conditional moments ``E[exp(alpha_i (G_{tau_e} - beta_i)) | X_t = x]`` of
+    both supply legs over ``horizon = tau_e - t``; returns ``(L1, L2)``."""
     m = np.exp(-ou.lam * np.asarray(horizon, dtype=float))
-    convexity = alpha * ou.sigma**2 / (4.0 * ou.lam) * (1.0 - m * m)
-    exponent = alpha * ((g_tau_e + m * x + convexity) - beta)
-    return _checked_exp(exponent, f"supply leg expectation (alpha={alpha})")
+
+    def leg(alpha, beta):
+        convexity = alpha * ou.sigma**2 / (4.0 * ou.lam) * (1.0 - m * m)
+        # one expression, so numpy reuses its temporaries on large arrays
+        exponent = alpha * ((g_tau_e + m * x + convexity) - beta)
+        return _checked_exp(exponent, f"supply leg expectation (alpha={alpha})")
+
+    return leg(supply.alpha1, supply.beta1), leg(supply.alpha2, supply.beta2)
+
+
+def _legs(model: ModelQ, t, tau, x, load_shift=0.0):
+    """Both supply-leg moments for delivery ``tau`` given ``X_t = x``, with the
+    load seasonality at ``tau_e`` moved by ``load_shift``.
+
+    Returns ``(horizon, L1, L2)`` with ``horizon = tau_e - t``, which must
+    not be negative.
+    """
+    tau_e = np.asarray(tau, dtype=float) + model.conv.epsilon
+    horizon = tau_e - np.asarray(t, dtype=float)
+    if np.any(horizon < 0):
+        raise DomainError("supply leg moments require t <= tau + epsilon")
+    g_tau_e = evaluate(model.load_seasonality, tau_e) + load_shift
+    return (horizon, *_leg_moments(model.supply, model.ou, g_tau_e, horizon, x))
+
+
+def _pick_leg(i: int, legs):
+    """Leg ``i`` (1 or 2) of a ``(horizon, L1, L2)`` triple from :func:`_legs`."""
+    if i not in (1, 2):
+        raise DomainError(f"supply leg must be 1 or 2, got {i}")
+    return legs[i]
 
 
 def supply_leg_expectation(model: ModelQ, i: int, t, tau, x):
@@ -101,35 +122,23 @@ def supply_leg_expectation(model: ModelQ, i: int, t, tau, x):
     Requires ``t <= tau_e``.  At ``t = tau_e`` the convexity term vanishes
     and the value is the realised supply leg.
     """
-    conv = model.conv
-    tau_e = np.asarray(tau, dtype=float) + conv.epsilon
-    horizon = tau_e - np.asarray(t, dtype=float)
-    if np.any(horizon < 0):
-        raise DomainError("supply leg expectation requires t <= tau + epsilon")
-    alpha, beta = model.supply.leg(i)
-    g_tau_e = evaluate(model.load_seasonality, tau_e)
-    value = _leg_expectation(alpha, beta, model.ou, g_tau_e, horizon, x)
-    return _maybe_scalar(value, t, tau, x)
+    return _maybe_scalar(_pick_leg(i, _legs(model, t, tau, x)), t, tau, x)
 
 
 def forward_price(model: ModelQ, t, tau, x):
     """Undiscounted conditional expectation of the settlement price (a martingale in t)."""
     g3 = evaluate(model.price_seasonality, tau)
-    leg1 = supply_leg_expectation(model, 1, t, tau, x)
-    leg2 = supply_leg_expectation(model, 2, t, tau, x)
+    _, leg1, leg2 = _legs(model, t, tau, x)
     return _maybe_scalar(leg1 - leg2 + g3, t, tau, x)
 
 
 def tradable_price(model: ModelQ, t, tau, x):
     """Price at ``t`` of the (hypothetical) storable claim on delivery ``tau``:
     the forward discounted from the settlement date ``tau_e``."""
-    conv = model.conv
-    tau_e = np.asarray(tau, dtype=float) + conv.epsilon
-    horizon = tau_e - np.asarray(t, dtype=float)
-    if np.any(horizon < 0):
-        raise DomainError("tradable price requires t <= tau + epsilon")
-    df = np.exp(-conv.hourly_rate * horizon)
-    return _maybe_scalar(df * forward_price(model, t, tau, x), t, tau, x)
+    g3 = evaluate(model.price_seasonality, tau)
+    horizon, leg1, leg2 = _legs(model, t, tau, x)
+    df = np.exp(-model.conv.hourly_rate * horizon)
+    return _maybe_scalar(df * (leg1 - leg2 + g3), t, tau, x)
 
 
 def intraday_price(model: ModelQ, tau, x_at_tau):
@@ -152,29 +161,27 @@ def price_generating(model: ModelQ, t, tau, x):
     ``t <= tau_e`` and 0 afterwards, with ``L_i`` the supply leg
     expectations.
     """
-    conv = model.conv
     t_arr = np.asarray(t, dtype=float)
-    tau_e = np.asarray(tau, dtype=float) + conv.epsilon
+    tau_e = np.asarray(tau, dtype=float) + model.conv.epsilon
     live = t_arr <= tau_e
     if not np.any(live):
         return _maybe_scalar(np.zeros(np.broadcast(t_arr, tau_e, np.asarray(x)).shape), t, tau, x)
-    t_safe = np.where(live, t_arr, tau_e)
-    alpha1, beta1 = model.supply.leg(1)
-    alpha2, beta2 = model.supply.leg(2)
-    g_tau_e = evaluate(model.load_seasonality, tau_e)
-    horizon = tau_e - t_safe
-    leg1 = _leg_expectation(alpha1, beta1, model.ou, g_tau_e, horizon, x)
-    leg2 = _leg_expectation(alpha2, beta2, model.ou, g_tau_e, horizon, x)
-    value = model.ou.sigma * np.exp(-model.ou.lam * horizon) * (alpha1 * leg1 - alpha2 * leg2)
-    value = np.where(live, value, 0.0)
-    return _maybe_scalar(value, t, tau, x)
+    horizon, leg1, leg2 = _legs(model, np.where(live, t_arr, tau_e), tau, x)
+    s = model.supply
+    value = model.ou.sigma * np.exp(-model.ou.lam * horizon) * (s.alpha1 * leg1 - s.alpha2 * leg2)
+    return _maybe_scalar(np.where(live, value, 0.0), t, tau, x)
+
+
+def _stopped_times(t: float, taus: np.ndarray, conv: MarketConventions) -> np.ndarray:
+    """Per delivery, the time ``min(t, tau_i - delta)`` after which its forward
+    no longer moves: the day-ahead fixing, or ``t`` if that is earlier."""
+    return np.minimum(t, taus - conv.delta)
 
 
 def required_state_times(t: float, deliveries: DeliverySet, conv: MarketConventions) -> list[float]:
     """Sorted unique times ``min(t, tau_i - delta)`` at which the driver state
     must be known to price the futures contract at time ``t``."""
-    times = {min(t, d.tau - conv.delta) for d in deliveries.taus}
-    return sorted(times)
+    return np.unique(_stopped_times(t, np.array(deliveries.hours()), conv)).tolist()
 
 
 def futures_price(model: ModelQ, t: float, deliveries: DeliverySet,
@@ -187,13 +194,13 @@ def futures_price(model: ModelQ, t: float, deliveries: DeliverySet,
     (see :func:`required_state_times`) to the driver value there.
     """
     conv = model.conv
-    total = 0.0
-    for d in deliveries.taus:
-        if d.tau < conv.delta:
-            raise DomainError(f"delivery at {d.tau} h fixes before the series epoch")
-        u = min(t, d.tau - conv.delta)
-        if u not in states:
-            raise DomainError(f"missing driver state at stopped time {u} h")
-        total += forward_price(model, u, d.tau, states[u])
-    n = len(deliveries)
-    return float(np.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / n * total)
+    taus = np.array(deliveries.hours())
+    if taus[0] < conv.delta:
+        raise DomainError(f"delivery at {taus[0]} h fixes before the series epoch")
+    stops = _stopped_times(t, taus, conv)
+    try:
+        x = np.array([states[u] for u in stops.tolist()], dtype=float)
+    except KeyError as exc:
+        raise DomainError(f"missing driver state at stopped time {exc.args[0]} h") from None
+    total = forward_price(model, stops, taus, x).sum()
+    return float(np.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / taus.size * total)

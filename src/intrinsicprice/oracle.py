@@ -148,6 +148,18 @@ def _step_moments(ou: OuParams, dt: float, mutation: float) -> tuple[float, floa
     return decay, shift, math.sqrt(var)
 
 
+def _w_integral_law(ou: OuParams, h: float) -> tuple[float, float, float]:
+    """Joint Gaussian of the Brownian increment ``dW`` over a step ``h`` and the
+    OU integral ``I = int_0^h e^{-lam (h - s)} dW_s``, as ``(sd_w, slope,
+    resid_sd)``: ``dW = sd_w Z1`` and ``I = slope dW + resid_sd Z2`` for
+    independent standard normals.  All zero for ``h = 0``."""
+    if h <= 0:
+        return 0.0, 0.0, 0.0
+    var_i = -math.expm1(-2.0 * ou.lam * h) / (2.0 * ou.lam)
+    cov = -math.expm1(-ou.lam * h) / ou.lam
+    return math.sqrt(h), cov / h, math.sqrt(max(var_i - cov**2 / h, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # direct price estimators
 # ---------------------------------------------------------------------------
@@ -269,17 +281,10 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
     # (b) density-weighted: pricing-measure sampling of (W increment, OU integral)
     drift_rate = ou.lam * theta
     x_q = to_risk_neutral_state(x_tilde_t, ou, theta, t, mode="exact")
-    if span > 0:
-        var_w = span
-        var_i = -math.expm1(-2.0 * ou.lam * span) / (2.0 * ou.lam)
-        cov = -math.expm1(-ou.lam * span) / ou.lam
-        slope = cov / var_w
-        resid_sd = math.sqrt(max(var_i - cov**2 / var_w, 0.0))
-    else:
-        var_w = slope = resid_sd = 0.0
+    sd_w, slope, resid_sd = _w_integral_law(ou, span)
 
     def values_weighted(z):
-        dw = math.sqrt(var_w) * z[:, 0]
+        dw = sd_w * z[:, 0]
         integral = slope * dw + resid_sd * z[:, 1]
         x_tau = decay * x_q + shift + ou.sigma * integral
         density = np.exp(drift_rate * dw - 0.5 * drift_rate**2 * span)
@@ -362,11 +367,7 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float, cfg: McConfi
     h = horizon / n_steps
     drift_rate = ou.lam * theta
     decay = math.exp(-ou.lam * h)
-    var_w = h
-    var_i = -math.expm1(-2.0 * ou.lam * h) / (2.0 * ou.lam)
-    cov = -math.expm1(-ou.lam * h) / ou.lam
-    slope = cov / var_w
-    resid_sd = math.sqrt(max(var_i - cov**2 / var_w, 0.0))
+    sd_w, slope, resid_sd = _w_integral_law(ou, h)
     # centred deviation under P built from the sampled Brownian path
     theta_pull = ou.sigma * theta * -math.expm1(-ou.lam * h)
 
@@ -375,7 +376,7 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float, cfg: McConfi
     def terminal(z):
         n = z.shape[0]
         x = np.full(n, ou.x0)
-        dw = math.sqrt(var_w) * z[:, :n_steps]
+        dw = sd_w * z[:, :n_steps]
         integral = slope * dw + resid_sd * z[:, n_steps:]
         for k in range(n_steps):
             x = decay * x - theta_pull + ou.sigma * integral[:, k]
@@ -530,11 +531,7 @@ def euler_representation_error(model: ModelQ, tau: float, t0: float, span: float
 
     ou = model.ou
     decay = math.exp(-ou.lam * h_fine)
-    var_w = h_fine
-    var_i = -math.expm1(-2.0 * ou.lam * h_fine) / (2.0 * ou.lam)
-    cov = -math.expm1(-ou.lam * h_fine) / ou.lam
-    slope = cov / var_w
-    resid_sd = math.sqrt(max(var_i - cov**2 / var_w, 0.0))
+    sd_w, slope, resid_sd = _w_integral_law(ou, h_fine)
 
     rng = np.random.default_rng(seed)
     batch = 65536
@@ -542,7 +539,7 @@ def euler_representation_error(model: ModelQ, tau: float, t0: float, span: float
     done = 0
     while done < n_paths:
         m = min(batch, n_paths - done)
-        dw = math.sqrt(var_w) * rng.standard_normal((m, n_fine))
+        dw = sd_w * rng.standard_normal((m, n_fine))
         resid = resid_sd * rng.standard_normal((m, n_fine))
         x = np.empty((m, n_fine + 1))
         x[:, 0] = x_t0

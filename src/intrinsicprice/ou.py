@@ -104,19 +104,23 @@ def simulate(params: OuParams, grid, seed: int) -> OuPath:
     if np.any(np.diff(grid) <= 0):
         raise DomainError("grid must be strictly increasing")
 
-    rng = np.random.default_rng(seed)
-    steps = np.diff(grid)
-    values = np.empty(grid.size)
-    values[0] = params.x0
-    if steps.size:
-        decay = np.exp(-params.lam * steps)
-        sd = np.sqrt(np.asarray(transition(params, 0.0, steps)[1], dtype=float))
-        shocks = sd * rng.standard_normal(steps.size)
-        x = params.x0
-        for k in range(steps.size):
-            x = decay[k] * x + shocks[k]
-            values[k + 1] = x
+    values = _sample_path(params, np.diff(grid), np.random.default_rng(seed))
     return OuPath(times=grid, values=values)
+
+
+def _sample_path(params: OuParams, steps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact AR(1) recursion ``x_{k+1} = e^{-lam dt_k} x_k + sd_k z_k`` from
+    ``params.x0`` over consecutive ``steps``; draws one standard normal per
+    step from ``rng``, in order.  Returns the ``steps.size + 1`` values."""
+    decay = np.exp(-params.lam * steps)
+    sd = np.sqrt(np.asarray(transition(params, 0.0, steps)[1], dtype=float))
+    shocks = sd * rng.standard_normal(steps.size)
+    x = params.x0
+    values = [x]
+    for a, e in zip(decay.tolist(), shocks.tolist()):
+        x = a * x + e
+        values.append(x)
+    return np.array(values, dtype=float)
 
 
 def fit_mle(series, dt: float) -> OuParams:

@@ -48,13 +48,7 @@ class Calendar:
 
 def weekday_class(date: _dt.date, cal: Calendar) -> WeekdayClass:
     """Classify a date; holiday membership takes precedence over the weekday."""
-    if date in cal.holidays or date.weekday() == 6:
-        return WeekdayClass.SUN_HOLIDAY
-    if date in cal.partial_holidays or date in cal.bridge_days or date.weekday() == 5:
-        return WeekdayClass.SAT_BRIDGE_PARTIAL
-    if date.weekday() in (0, 4):
-        return WeekdayClass.MON_FRI
-    return WeekdayClass.TUE_WED_THU
+    return WeekdayClass(_classify_days(np.zeros(1, dtype=np.int64), date, cal)[0])
 
 
 # design columns: 4 base terms, 3 weekday dummies, 23 hour dummies
@@ -77,16 +71,26 @@ def _day_and_hour(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return whole // 24, whole % 24
 
 
+# class of each weekday (Monday = 0) before the calendar overrides it
+_WEEKDAY_CLASSES = np.array([
+    WeekdayClass.MON_FRI, WeekdayClass.TUE_WED_THU, WeekdayClass.TUE_WED_THU,
+    WeekdayClass.TUE_WED_THU, WeekdayClass.MON_FRI, WeekdayClass.SAT_BRIDGE_PARTIAL,
+    WeekdayClass.SUN_HOLIDAY])
+
+
 def _classify_days(day_indices: np.ndarray, epoch: _dt.date, cal: Calendar) -> np.ndarray:
-    classes = np.empty(day_indices.size, dtype=np.int64)
-    cache: dict[int, int] = {}
-    for k, d in enumerate(day_indices):
-        d = int(d)
-        cls = cache.get(d)
-        if cls is None:
-            cls = int(weekday_class(epoch + _dt.timedelta(days=d), cal))
-            cache[d] = cls
-        classes[k] = cls
+    """Weekday class of each day index (days since ``epoch``).  Holidays are
+    Sunday class; partial holidays and bridge days are Saturday class unless
+    they fall on a Sunday."""
+    weekday = (day_indices + epoch.weekday()) % 7
+    classes = _WEEKDAY_CLASSES[weekday]
+
+    def listed(dates):
+        return np.isin(day_indices, [(d - epoch).days for d in dates])
+
+    bridging = listed(cal.partial_holidays | cal.bridge_days) & (weekday != 6)
+    classes[bridging] = WeekdayClass.SAT_BRIDGE_PARTIAL
+    classes[listed(cal.holidays)] = WeekdayClass.SUN_HOLIDAY
     return classes
 
 

@@ -1,4 +1,7 @@
 import datetime as dt
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,3 +168,23 @@ class TestGenerateSynthetic:
                             conv=ref_model.conv)
         quoted = ip.intraday_price(model_q, series.taus[k], shifted)
         assert series.intraday[k] == pytest.approx(quoted, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_load_deviation_is_the_ou_sampler_path(self, ref_model, ref_theta, seed):
+        # the synthetic load deviation and ou.simulate share one exact sampler:
+        # the same seed gives the same draws in the same order
+        n = 26_280
+        series = ip.generate_synthetic(ref_model, ref_theta, n, 0.5, seed=seed)
+        g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
+        deviation = series.load - ip.evaluate(g_tilde, series.taus)
+        path = ip.simulate(ref_model.ou, np.arange(n), seed)
+        assert np.max(np.abs(deviation - path.values)) <= 1e-12
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # a fresh interpreter, so modules other tests imported do not count
+    probe = "import sys, intrinsicprice; print('scipy.signal' in sys.modules)"
+    package_root = os.path.dirname(os.path.dirname(ip.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout.strip() == "False"

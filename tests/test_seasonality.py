@@ -241,3 +241,41 @@ class TestCalendarFile:
         path.write_text("2017-13-25 holiday\n")
         with pytest.raises(ip.ParseError, match="invalid date"):
             ip.load_calendar(path)
+
+
+class TestWeekdayPrecedence:
+    def test_calendar_beats_weekday_over_years(self):
+        cal = ip.Calendar(
+            holidays=frozenset({dt.date(2016, 1, 2), dt.date(2017, 12, 25)}),
+            partial_holidays=frozenset({dt.date(2016, 12, 25), dt.date(2018, 4, 2)}),
+            bridge_days=frozenset({dt.date(2017, 1, 1), dt.date(2017, 5, 26)}))
+        assert EPOCH.weekday() == 3                                   # a Thursday
+        cases = {
+            dt.date(2016, 1, 2): ip.WeekdayClass.SUN_HOLIDAY,         # holiday on a Saturday
+            dt.date(2016, 12, 25): ip.WeekdayClass.SUN_HOLIDAY,       # partial day on a Sunday
+            dt.date(2017, 1, 1): ip.WeekdayClass.SUN_HOLIDAY,         # bridge day on a Sunday
+            dt.date(2018, 4, 2): ip.WeekdayClass.SAT_BRIDGE_PARTIAL,  # partial day on a Monday
+            dt.date(2017, 12, 25): ip.WeekdayClass.SUN_HOLIDAY,       # holiday on a Monday
+            dt.date(2017, 5, 26): ip.WeekdayClass.SAT_BRIDGE_PARTIAL,  # bridge day on a Friday
+        }
+        assert [d.weekday() for d in cases] == [5, 6, 6, 0, 0, 4]
+        for date, cls in cases.items():
+            assert ip.weekday_class(date, cal) == cls
+
+        def expected(date):
+            if date in cal.holidays or date.weekday() == 6:
+                return ip.WeekdayClass.SUN_HOLIDAY
+            if date in cal.partial_holidays | cal.bridge_days or date.weekday() == 5:
+                return ip.WeekdayClass.SAT_BRIDGE_PARTIAL
+            if date.weekday() in (0, 4):
+                return ip.WeekdayClass.MON_FRI
+            return ip.WeekdayClass.TUE_WED_THU
+
+        # every day of four years through the array path of evaluate
+        days = np.arange(4 * 366)
+        classes = [expected(EPOCH + dt.timedelta(days=int(d))) for d in days]
+        weights = np.array([10.0, 0.0, 20.0, 30.0])
+        shape = ip.SeasonalityModel(level=0.0, trend=0.0, sin_annual=0.0, cos_annual=0.0,
+                                    dow_weights=weights, hod_weights=np.zeros(24),
+                                    calendar=cal, epoch=EPOCH)
+        assert np.array_equal(ip.evaluate(shape, 24.0 * days + 13.0), weights[classes])
