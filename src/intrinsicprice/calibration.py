@@ -22,14 +22,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .conventions import MarketConventions
 from .errors import DomainError, EstimationError, NumericError
 from .measure import GirsanovParam
 from .model import SupplyParams, _leg_moments
 from .ou import OuParams, fit_mle
-from .seasonality import Calendar, SeasonalityModel, evaluate, fit, price_seasonality_target
+from .seasonality import (Calendar, SeasonalityModel, _month_keys, evaluate, fit,
+                          price_seasonality_target)
 
 _OVERFLOW_PENALTY = 1e12
 
@@ -253,13 +253,15 @@ def calibrate_supply_theta(series: MarketSeries, g_tilde: SeasonalityModel, ou: 
     gradient norm below 1e-6; otherwise the result is returned with the
     flag down.
     """
+    from scipy.optimize import minimize
+
     objective = PricingObjective(series, g_tilde, ou, gamma3, conv)
 
     def f(u):
         supply, theta = _unpack(u)
         return objective(supply, theta)
 
-    result = scipy.optimize.minimize(
+    result = minimize(
         f, _pack(init_supply, init_theta), method="BFGS",
         jac=lambda u: numerical_gradient(f, u, rel_step=1e-6),
         options={"gtol": 1e-6, "maxiter": max_iterations})
@@ -285,6 +287,8 @@ def initial_supply_guess(series: MarketSeries, gamma3: SeasonalityModel,
     """Starting point for stage 3: fit the intraday quotes directly to the
     settlement-price formula at the realised load (no measure change, no
     convexity terms).  Falls back to documented defaults on failure."""
+    from scipy.optimize import least_squares
+
     if conv.epsilon != int(conv.epsilon):
         raise DomainError("hourly series need a whole-hour delivery length")
     lead = int(conv.epsilon)
@@ -309,7 +313,7 @@ def initial_supply_guess(series: MarketSeries, gamma3: SeasonalityModel,
     start = np.array([np.log(_GUESS_DEFAULT_ALPHA), np.log(_GUESS_DEFAULT_ALPHA),
                       mean_load, mean_load])
     try:
-        res = scipy.optimize.least_squares(residuals, start, method="lm", max_nfev=800)
+        res = least_squares(residuals, start, method="lm", max_nfev=800)
     except Exception as exc:  # pragma: no cover - scipy internal failures
         warnings.warn(f"direct supply fit raised {exc!r}; using defaults")
         return fallback
@@ -350,11 +354,11 @@ def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: O
     skipped with a warning.  Returns (first-of-month, theta) pairs in
     chronological order.
     """
-    midnight = _dt.datetime.combine(series.epoch, _dt.time())
-    month_of_row = np.array(
-        [(midnight + _dt.timedelta(hours=float(t))).strftime("%Y-%m") for t in series.taus])
+    from scipy.optimize import minimize_scalar
+
+    month_of_row = _month_keys(series.taus, series.epoch)
     out: list[tuple[_dt.date, float]] = []
-    for key in sorted(set(month_of_row)):
+    for key in np.unique(month_of_row):
         rows = np.flatnonzero(month_of_row == key)
         try:
             objective = PricingObjective(series, g_tilde, ou, gamma3, conv, rows=rows)
@@ -364,7 +368,7 @@ def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: O
         if objective.n_obs < min_hours:
             warnings.warn(f"month {key}: only {objective.n_obs} aligned hours; skipped")
             continue
-        res = scipy.optimize.minimize_scalar(
+        res = minimize_scalar(
             lambda th: objective(supply, th), bounds=(-1.0, 1.0), method="bounded",
             options={"xatol": 1e-6})
         year, month = (int(p) for p in key.split("-"))

@@ -22,7 +22,7 @@ from .errors import DomainError, ParseError
 from .measure import p_seasonality_from_q
 from .model import ModelQ, SupplyParams
 from .ou import OuParams, _sample_path
-from .seasonality import Calendar, SeasonalityModel, evaluate
+from .seasonality import Calendar, SeasonalityModel, _month_keys, evaluate
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,19 @@ def load_series(path, schema: CsvSchema = CsvSchema()) -> MarketSeries:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}:1: empty file, header row required") from None
         header = [h.strip() for h in header]
-        try:
-            cols = {name: header.index(getattr(schema, name))
-                    for name in ("timestamp", "load", "day_ahead", "intraday")}
-        except ValueError as exc:
-            raise ParseError(f"{path}:1: header must contain column {exc}") from None
+        fields = ("timestamp", "load", "day_ahead", "intraday")
+        missing = [getattr(schema, f) for f in fields if getattr(schema, f) not in header]
+        if missing:
+            raise ParseError(f"{path}:1: header must contain column "
+                             f"{', '.join(map(repr, missing))}")
+        cols = {f: header.index(getattr(schema, f)) for f in fields}
 
         stamps: list[_dt.datetime] = []
         load, day_ahead, intraday = [], [], []
@@ -173,10 +174,8 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     x_fix[lag:] = deviation[:-lag]
 
     if monthly_theta:
-        midnight = _dt.datetime.combine(epoch, _dt.time())
-        keys = np.array([(midnight + _dt.timedelta(hours=float(t))).strftime("%Y-%m")
-                         for t in taus])
-        theta_row = np.array([monthly_theta.get(k, theta) for k in keys])
+        months, month_of_row = np.unique(_month_keys(taus, epoch), return_inverse=True)
+        theta_row = np.array([monthly_theta.get(k, theta) for k in months])[month_of_row]
     else:
         theta_row = np.full(n, theta)
 

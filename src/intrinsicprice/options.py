@@ -19,16 +19,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 from .errors import DomainError
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_SQRT_TWO = math.sqrt(2.0)
 
 
 def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
+
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / _SQRT_TWO)
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,8 @@ def integrated_vol(phi, u: float, t: float) -> float:
     if u == t:
         return 0.0
 
+    from scipy.integrate import quad
+
     def squared_norm(s: float) -> float:
         v = np.atleast_1d(np.asarray(phi(s), dtype=float))
         return float(v @ v)
@@ -94,7 +99,7 @@ def bachelier_call(inp: NormalOptionInputs) -> float:
     if inp.sigma_ut == 0.0:
         return df * max(inp.forward - inp.strike, 0.0)
     d = (inp.forward - inp.strike) / inp.sigma_ut
-    return df * (inp.forward - inp.strike) * ndtr(d) + df * inp.sigma_ut * _norm_pdf(d)
+    return df * (inp.forward - inp.strike) * _norm_cdf(d) + df * inp.sigma_ut * _norm_pdf(d)
 
 
 def bachelier_put(inp: NormalOptionInputs) -> float:
@@ -102,7 +107,7 @@ def bachelier_put(inp: NormalOptionInputs) -> float:
     if inp.sigma_ut == 0.0:
         return df * max(inp.strike - inp.forward, 0.0)
     d = (inp.forward - inp.strike) / inp.sigma_ut
-    return df * (inp.strike - inp.forward) * ndtr(-d) + df * inp.sigma_ut * _norm_pdf(d)
+    return df * (inp.strike - inp.forward) * _norm_cdf(-d) + df * inp.sigma_ut * _norm_pdf(d)
 
 
 def _d_plus_minus(inp: LognormalOptionInputs, conventional: bool) -> tuple[float, float]:
@@ -125,7 +130,7 @@ def black76_call(inp: LognormalOptionInputs, conventional: bool = False) -> floa
     if inp.var_integral == 0.0:
         return df * max(inp.forward - inp.strike, 0.0)
     d_plus, d_minus = _d_plus_minus(inp, conventional)
-    return df * (inp.forward * ndtr(d_plus) - inp.strike * ndtr(d_minus))
+    return df * (inp.forward * _norm_cdf(d_plus) - inp.strike * _norm_cdf(d_minus))
 
 
 def black76_put(inp: LognormalOptionInputs, conventional: bool = False) -> float:
@@ -133,4 +138,4 @@ def black76_put(inp: LognormalOptionInputs, conventional: bool = False) -> float
     if inp.var_integral == 0.0:
         return df * max(inp.strike - inp.forward, 0.0)
     d_plus, d_minus = _d_plus_minus(inp, conventional)
-    return df * (inp.strike * ndtr(-d_minus) - inp.forward * ndtr(-d_plus))
+    return df * (inp.strike * _norm_cdf(-d_minus) - inp.forward * _norm_cdf(-d_plus))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .conventions import HOURS_PER_YEAR, MarketConventions
 from .errors import DomainError, EstimationError, ParseError
@@ -69,6 +68,12 @@ _DOW_DUMMY_SLOT = {
 def _day_and_hour(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whole = np.floor(taus).astype(np.int64)
     return whole // 24, whole % 24
+
+
+def _month_keys(taus: np.ndarray, epoch: _dt.date) -> np.ndarray:
+    """The "YYYY-MM" delivery month of each hour offset from midnight of ``epoch``."""
+    hours = np.datetime64(epoch, "h") + np.floor(taus).astype("timedelta64[h]")
+    return hours.astype("datetime64[M]").astype(str)
 
 
 # class of each weekday (Monday = 0) before the calendar overrides it
@@ -219,7 +224,9 @@ def fit(taus, values, cal: Calendar, epoch: _dt.date) -> SeasonalityModel:
     X = design_matrix(taus, epoch, cal)
     beta, _, rank, _ = np.linalg.lstsq(X, values, rcond=None)
     if rank < N_COLUMNS:
-        _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+        from scipy.linalg import qr
+
+        _, R, piv = qr(X, mode="economic", pivoting=True)
         diag = np.abs(np.diag(R))
         tol = diag.max() * max(X.shape) * np.finfo(float).eps
         bad = sorted(COLUMN_NAMES[piv[k]] for k in range(len(diag)) if diag[k] <= tol)

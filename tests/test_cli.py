@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,3 +202,29 @@ class TestUsageErrors:
         bad.write_text("timestamp,load,day_ahead,intraday\nnot-a-time,1,2,3\n")
         assert cli.main(["fit-ou", "--data", str(bad), "--out",
                          str(tmp_path / "r.txt")]) == 2
+
+
+def test_quote_commands_leave_scipy_unloaded(tmp_path, params_file):
+    # a fresh interpreter, so modules other tests imported do not count
+    params, out = str(params_file), str(tmp_path / "premium.csv")
+    commands = [
+        ["price", "forward", "--params", params, "--t", "100", "--tau", "268", "--x", "1.0"],
+        ["price", "futures", "--params", params, "--t", "100", "--deliveries", "268,269",
+         "--x", "1.0"],
+        ["price", "option", "--family", "normal", "--forward", "50", "--strike", "45",
+         "--sigma-ut", "5"],
+        ["price", "option", "--family", "lognormal", "--forward", "50", "--strike", "45",
+         "--var-integral", "0.04", "--put", "--conventional"],
+        ["risk-premium", "--params", params, "--tau", "2160", "--t-start", "1000",
+         "--t-end", "2160", "--t-step", "100", "--out", out],
+    ]
+    probe = ("import json, sys\n"
+             "from intrinsicprice import cli\n"
+             "codes = [cli.main(c) for c in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    package_root = os.path.dirname(os.path.dirname(ip.__file__))
+    run = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": package_root})
+    codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert scipy_modules == []

@@ -94,6 +94,25 @@ class TestLoadSeries:
         with pytest.raises(ParseError, match="header"):
             ip.load_series(path)
 
+    def test_missing_header_column_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("time,load,day_ahead,intraday\n2015-01-01 00:00:00,1,2,3\n")
+        with pytest.raises(ParseError, match=r"d\.csv:1: header must contain column 'timestamp'$"):
+            ip.load_series(path)
+
+    @pytest.mark.parametrize("bom, eol", [(b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n")],
+                             ids=["utf8-bom", "crlf"])
+    def test_bom_and_crlf_files_load(self, tmp_path, bom, eol):
+        path = tmp_path / "d.csv"
+        path.write_bytes(bom + eol.join([b"timestamp,load,day_ahead,intraday",
+                                         b"2015-06-28 00:00:00,55.1,30.2,31.3",
+                                         b"2015-06-28 01:00:00,54.0,,30.8", b""]))
+        series = ip.load_series(path)
+        assert series.epoch == dt.date(2015, 6, 28)
+        assert list(series.load) == [55.1, 54.0]
+        assert np.isnan(series.day_ahead[1])
+        assert series.intraday[1] == 30.8
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="no such file"):
             ip.load_series(tmp_path / "absent.csv")

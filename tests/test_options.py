@@ -44,6 +44,20 @@ class TestIntegratedVol:
             ip.integrated_vol(lambda s: 1.0, 2.0, 1.0)
 
 
+def test_norm_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    from intrinsicprice.options import _norm_cdf
+
+    x = np.linspace(-38.0, 9.0, 47_001)
+    ours = np.array([_norm_cdf(v) for v in x])
+    reference = ndtr(x)
+    gap = np.abs(ours - reference)
+    assert gap.max() <= 4e-16
+    body = x >= -8.0
+    assert np.max(gap[body] / reference[body]) <= 1e-13
+
+
 class TestBachelier:
     def test_degenerate_vol_is_intrinsic(self):
         call = ip.bachelier_call(ip.NormalOptionInputs(50.0, 40.0, 0.0, span=0.0))
