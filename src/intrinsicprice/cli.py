@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from .options import (LognormalOptionInputs, NormalOptionInputs, bachelier_call,
                       bachelier_put, black76_call, black76_put)
 from .oracle import McConfig
 from .ou import OuParams
-from .seasonality import Calendar, SeasonalityModel, load_calendar
+from .seasonality import (COLUMN_NAMES, Calendar, SeasonalityModel, _from_coefficients,
+                          load_calendar)
 
 _SEASONALITY_KEYS = ("level", "trend", "sin_annual", "cos_annual")
 
@@ -105,13 +107,8 @@ def _write_report(path, pairs):
 
 
 def _seasonality_report_pairs(model: SeasonalityModel):
-    pairs = [("epoch", model.epoch.isoformat())]
-    pairs += [(k, float(getattr(model, k))) for k in _SEASONALITY_KEYS]
-    pairs += [("dow_mon_fri", float(model.dow_weights[0])),
-              ("dow_sat_bridge_partial", float(model.dow_weights[2])),
-              ("dow_sun_holiday", float(model.dow_weights[3]))]
-    pairs += [(f"hod_{h:02d}", float(model.hod_weights[h])) for h in range(1, 24)]
-    return pairs
+    return [("epoch", model.epoch.isoformat()),
+            *zip(COLUMN_NAMES, model.coefficients().tolist())]
 
 
 def read_seasonality_report(path, cal: Calendar) -> SeasonalityModel:
@@ -126,17 +123,21 @@ def read_seasonality_report(path, cal: Calendar) -> SeasonalityModel:
         values[key] = value
     try:
         epoch = _dt.date.fromisoformat(values.pop("epoch"))
-        dow = np.zeros(4)
-        dow[0] = float(values.pop("dow_mon_fri"))
-        dow[2] = float(values.pop("dow_sat_bridge_partial"))
-        dow[3] = float(values.pop("dow_sun_holiday"))
-        hod = np.zeros(24)
-        for h in range(1, 24):
-            hod[h] = float(values.pop(f"hod_{h:02d}"))
-        base = {k: float(values.pop(k)) for k in _SEASONALITY_KEYS}
+        beta = np.array([float(values.pop(k)) for k in COLUMN_NAMES])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: malformed seasonality report: {exc!r}") from exc
-    return SeasonalityModel(**base, dow_weights=dow, hod_weights=hod, calendar=cal, epoch=epoch)
+    return _from_coefficients(beta, cal, epoch)
+
+
+def _finite_float(text: str) -> float:
+    """Argparse type for numeric flags: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _load_calendar_arg(args) -> Calendar:
@@ -221,8 +222,11 @@ def _cmd_price(args) -> int:
         value = forward_price(model, args.t, args.tau, args.x)
     elif args.contract == "futures":
         model, _ = load_model_file(args.params)
-        deliveries = DeliverySet.from_hours(
-            [float(h) for h in args.deliveries.split(",") if h.strip()])
+        try:
+            hours = [_finite_float(h) for h in args.deliveries.split(",") if h.strip()]
+        except argparse.ArgumentTypeError as exc:
+            raise ParseError(f"--deliveries: {exc}") from exc
+        deliveries = DeliverySet.from_hours(hours)
         first_fix = deliveries.hours()[0] - model.conv.delta
         if args.t > first_fix:
             raise DomainError("price futures supports t at or before the first fixing; "
@@ -300,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="model params JSON")
     p.add_argument("--span", type=int, required=True, help="hours to simulate")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.5, help="intraday noise sd")
-    p.add_argument("--noise-day-ahead", type=float, default=None)
+    p.add_argument("--noise", type=_finite_float, default=0.5, help="intraday noise sd")
+    p.add_argument("--noise-day-ahead", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conventions", default=None)
     p.add_argument("--gamma3", default=None,
                    help="seasonality report file fixing the price seasonality")
-    p.add_argument("--init-theta", type=float, default=0.0)
+    p.add_argument("--init-theta", type=_finite_float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--params-out", default=None,
                    help="also write the fitted model as a params JSON")
@@ -333,26 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="contract", required=True)
     pf = psub.add_parser("forward")
     pf.add_argument("--params", required=True)
-    pf.add_argument("--t", type=float, required=True)
-    pf.add_argument("--tau", type=float, required=True)
-    pf.add_argument("--x", type=float, default=0.0, help="driver state at t")
+    pf.add_argument("--t", type=_finite_float, required=True)
+    pf.add_argument("--tau", type=_finite_float, required=True)
+    pf.add_argument("--x", type=_finite_float, default=0.0, help="driver state at t")
     pf.set_defaults(func=_cmd_price)
     pu = psub.add_parser("futures")
     pu.add_argument("--params", required=True)
-    pu.add_argument("--t", type=float, required=True)
+    pu.add_argument("--t", type=_finite_float, required=True)
     pu.add_argument("--deliveries", required=True, help="comma list of delivery hours")
-    pu.add_argument("--x", type=float, default=0.0)
+    pu.add_argument("--x", type=_finite_float, default=0.0)
     pu.set_defaults(func=_cmd_price)
     po = psub.add_parser("option")
     po.add_argument("--family", choices=("normal", "lognormal"), required=True)
-    po.add_argument("--forward", type=float, required=True)
-    po.add_argument("--strike", type=float, required=True)
-    po.add_argument("--sigma-ut", type=float, default=0.0,
+    po.add_argument("--forward", type=_finite_float, required=True)
+    po.add_argument("--strike", type=_finite_float, required=True)
+    po.add_argument("--sigma-ut", type=_finite_float, default=0.0,
                     help="integrated std dev (normal family)")
-    po.add_argument("--var-integral", type=float, default=0.0,
+    po.add_argument("--var-integral", type=_finite_float, default=0.0,
                     help="integrated variance (lognormal family)")
-    po.add_argument("--span", type=float, default=0.0, help="discount span in hours")
-    po.add_argument("--rate", type=float, default=0.0, help="hourly rate")
+    po.add_argument("--span", type=_finite_float, default=0.0, help="discount span in hours")
+    po.add_argument("--rate", type=_finite_float, default=0.0, help="hourly rate")
     po.add_argument("--put", action="store_true")
     po.add_argument("--conventional", action="store_true",
                     help="use the half-variance d_pm convention")
@@ -360,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("risk-premium", help="premium path over a grid of trading times")
     p.add_argument("--params", required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--t-start", type=float, required=True)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--t-step", type=float, default=24.0)
-    p.add_argument("--x-tilde", type=float, default=0.0)
+    p.add_argument("--tau", type=_finite_float, required=True)
+    p.add_argument("--t-start", type=_finite_float, required=True)
+    p.add_argument("--t-end", type=_finite_float, required=True)
+    p.add_argument("--t-step", type=_finite_float, default=24.0)
+    p.add_argument("--x-tilde", type=_finite_float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_risk_premium)
 
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--nested-paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mutation", type=float, default=0.0)
+    p.add_argument("--mutation", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_verify)
 
     return parser

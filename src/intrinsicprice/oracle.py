@@ -14,6 +14,7 @@ it, which proves they have statistical power.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -27,7 +28,7 @@ from .model import (ModelQ, forward_price, futures_price, intraday_price,
                     tradable_price)
 from .options import (LognormalOptionInputs, NormalOptionInputs,
                       bachelier_call, bachelier_put, black76_call, black76_put)
-from .ou import OuParams, transition
+from .ou import OuParams, _step_law, _walk, transition
 from .seasonality import evaluate
 
 _BATCH = 1 << 18
@@ -140,12 +141,12 @@ def _scale(est: McEstimate, factor: float, offset: float = 0.0) -> McEstimate:
                       std_error=abs(factor) * est.std_error, n_paths=est.n_paths)
 
 
-def _step_moments(ou: OuParams, dt: float, mutation: float) -> tuple[float, float, float]:
-    """Decay, deterministic mean shift, and standard deviation of one exact step."""
-    decay = math.exp(-ou.lam * dt)
-    shift = mutation * -math.expm1(-ou.lam * dt) / ou.lam if mutation else 0.0
-    _, var = transition(ou, 0.0, dt)
-    return decay, shift, math.sqrt(var)
+def _run_step_batches(ou: OuParams, x: float, dt: float, cfg: McConfig, payoff) -> McEstimate:
+    """Estimate the mean of ``payoff(X)`` for ``X`` one exact step ``dt`` on
+    from the state ``x``, under the mutation drift of ``cfg``."""
+    sd = float(_step_law(ou, dt)[2])
+    return _run_batches(cfg, 1, lambda z: payoff(
+        _walk(ou, x, [dt], [sd * z[:, 0]], cfg.mutation_drift)[0]))
 
 
 def _w_integral_law(ou: OuParams, h: float) -> tuple[float, float, float]:
@@ -170,15 +171,9 @@ def mc_forward(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -
     horizon = tau + model.conv.epsilon - t
     if horizon < 0:
         raise DomainError("mc_forward requires t <= tau + epsilon")
-    decay, shift, sd = _step_moments(model.ou, horizon, cfg.mutation_drift)
     g_tau_e = evaluate(model.load_seasonality, tau + model.conv.epsilon)
-    mean_x = decay * x_t + shift
-
-    def values(z):
-        x_end = mean_x + sd * z[:, 0]
-        return intrinsic_price(model, g_tau_e + x_end, tau)
-
-    return _run_batches(cfg, 1, values)
+    return _run_step_batches(model.ou, x_t, horizon, cfg,
+                             lambda x_end: intrinsic_price(model, g_tau_e + x_end, tau))
 
 
 def mc_tradable(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -> McEstimate:
@@ -190,13 +185,8 @@ def mc_day_ahead_tower(model: ModelQ, tau: float, x_at_fix: float, cfg: McConfig
     """Average at-delivery quote from the fixing state against
     ``e^{r delta} S(tau)``."""
     conv = model.conv
-    decay, shift, sd = _step_moments(model.ou, conv.delta, cfg.mutation_drift)
-    mean_x = decay * x_at_fix + shift
-
-    def values(z):
-        return intraday_price(model, tau, mean_x + sd * z[:, 0])
-
-    estimate = _run_batches(cfg, 1, values)
+    estimate = _run_step_batches(model.ou, x_at_fix, conv.delta, cfg,
+                                 lambda x: intraday_price(model, tau, x))
     closed = math.exp(conv.hourly_rate * conv.delta) * day_ahead_price(model, tau, x_at_fix)
     return OracleCheck("day-ahead tower identity", closed, estimate)
 
@@ -212,15 +202,15 @@ def mc_futures(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
         raise DomainError("mc_futures requires t at or before the first fixing")
     sample_times = [tau + conv.epsilon for tau in taus]
     steps = np.diff([t] + sample_times)
-    moments = [_step_moments(model.ou, float(dt), cfg.mutation_drift) for dt in steps]
+    sds = _step_law(model.ou, steps)[2].tolist()
     g_vals = [evaluate(model.load_seasonality, tau + conv.epsilon) for tau in taus]
     weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / len(taus)
 
     def values(z):
-        x = np.full(z.shape[0], x_t)
+        states = _walk(model.ou, x_t, steps, (sd * z[:, k] for k, sd in enumerate(sds)),
+                       cfg.mutation_drift)
         payoff = np.zeros(z.shape[0])
-        for k, (decay, shift, sd) in enumerate(moments):
-            x = decay * x + shift + sd * z[:, k]
+        for k, x in enumerate(states):
             payoff += intrinsic_price(model, g_vals[k] + x, taus[k])
         return weight * payoff
 
@@ -268,15 +258,9 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
     f_t = forward_price(model, t, tau, to_risk_neutral_state(x_tilde_t, ou, theta, t))
 
     # (a) direct: real-world transition of the centred deviation, exact shift at tau
-    decay, shift, sd = _step_moments(ou, span, cfg.mutation_drift)
-    mean_xt = decay * x_tilde_t + shift
     tau_shift = to_risk_neutral_state(0.0, ou, theta, tau, mode="exact")
-
-    def values_direct(z):
-        x_tau = (mean_xt + sd * z[:, 0]) + tau_shift
-        return intraday_price(model, tau, x_tau)
-
-    est_a = _run_batches(cfg, 1, values_direct)
+    est_a = _run_step_batches(ou, x_tilde_t, span, cfg,
+                              lambda x: intraday_price(model, tau, x + tau_shift))
 
     # (b) density-weighted: pricing-measure sampling of (W increment, OU integral)
     drift_rate = ou.lam * theta
@@ -286,7 +270,7 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
     def values_weighted(z):
         dw = sd_w * z[:, 0]
         integral = slope * dw + resid_sd * z[:, 1]
-        x_tau = decay * x_q + shift + ou.sigma * integral
+        x_tau = _walk(ou, x_q, [span], [ou.sigma * integral], cfg.mutation_drift)[0]
         density = np.exp(drift_rate * dw - 0.5 * drift_rate**2 * span)
         return density * intraday_price(model, tau, x_tau)
 
@@ -366,20 +350,16 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float, cfg: McConfi
     grid = np.linspace(0.0, horizon, n_steps + 1)
     h = horizon / n_steps
     drift_rate = ou.lam * theta
-    decay = math.exp(-ou.lam * h)
     sd_w, slope, resid_sd = _w_integral_law(ou, h)
-    # centred deviation under P built from the sampled Brownian path
-    theta_pull = ou.sigma * theta * -math.expm1(-ou.lam * h)
 
     mean_p, var_p = transition(ou, ou.x0, horizon)
 
     def terminal(z):
-        n = z.shape[0]
-        x = np.full(n, ou.x0)
         dw = sd_w * z[:, :n_steps]
         integral = slope * dw + resid_sd * z[:, n_steps:]
-        for k in range(n_steps):
-            x = decay * x - theta_pull + ou.sigma * integral[:, k]
+        # centred deviation under P: the pricing-measure path with drift -lam sigma theta
+        shocks = (ou.sigma * integral[:, k] for k in range(n_steps))
+        x = _walk(ou, ou.x0, np.full(n_steps, h), shocks, -ou.lam * ou.sigma * theta)[-1]
         nu = radon_nikodym_path(drift_rate, dw, grid)[:, -1]
         return x, nu
 
@@ -420,6 +400,8 @@ def mc_martingale_check(model: ModelQ, t_list, tau: float, cfg: McConfig,
     if t_list[-1] > tau + model.conv.epsilon:
         raise DomainError("martingale checkpoints must not pass tau + epsilon")
     x = model.ou.x0 if x_start is None else float(x_start)
+    # the conditioning states follow the conditional mean (zero shocks)
+    means = [x] + _walk(model.ou, x, np.diff(t_list), itertools.repeat(0.0), cfg.mutation_drift)
     r_h = model.conv.hourly_rate
 
     def quote(t, state):
@@ -429,17 +411,11 @@ def mc_martingale_check(model: ModelQ, t_list, tau: float, cfg: McConfig,
 
     checks = []
     label = "discounted tradable" if discounted else "forward"
-    for t, u in zip(t_list, t_list[1:]):
-        decay, shift, sd = _step_moments(model.ou, u - t, cfg.mutation_drift)
-        mean_x = decay * x + shift
-
-        def values(z, _u=u, _mean=mean_x, _sd=sd):
-            return quote(_u, _mean + _sd * z[:, 0])
-
-        estimate = _run_batches(cfg, 1, values)
+    for t, u, x in zip(t_list, t_list[1:], means):
+        estimate = _run_step_batches(model.ou, x, u - t, cfg,
+                                     lambda state, _u=u: quote(_u, state))
         closed = float(quote(t, x))
         checks.append(OracleCheck(f"{label} martingale {t:g}h -> {u:g}h", closed, estimate))
-        x = mean_x
     return checks
 
 
@@ -463,11 +439,8 @@ def mc_futures_martingale(model: ModelQ, t_list, deliveries: DeliverySet, cfg: M
     # deterministic backbone through checkpoints and fixings
     backbone_times = sorted(set(t_list) | {f for f in fixings if f >= t_list[0]})
     x = model.ou.x0 if x_start is None else float(x_start)
-    backbone = {backbone_times[0]: x}
-    for a, b in zip(backbone_times, backbone_times[1:]):
-        decay, shift, _ = _step_moments(model.ou, b - a, cfg.mutation_drift)
-        x = decay * x + shift
-        backbone[b] = x
+    backbone = dict(zip(backbone_times, [x] + _walk(
+        model.ou, x, np.diff(backbone_times), itertools.repeat(0.0), cfg.mutation_drift)))
 
     def closed_futures(t):
         states = {min(t, f): backbone[min(t, f)] for f in fixings}
@@ -480,14 +453,13 @@ def mc_futures_martingale(model: ModelQ, t_list, deliveries: DeliverySet, cfg: M
         live = [(f, tau) for f, tau in zip(fixings, taus) if f > t]
         sim_times = sorted({min(u, f) for f, _ in live})
         steps = np.diff([t] + sim_times)
-        moments = [_step_moments(model.ou, float(dt), cfg.mutation_drift) for dt in steps]
+        sds = _step_law(model.ou, steps)[2].tolist()
 
-        def values(z, _frozen=frozen, _live=live, _sim=sim_times, _mom=moments, _u=u, _t=t):
-            state = {}
-            xx = np.full(z.shape[0], backbone[_t])
-            for k, (decay, shift, sd) in enumerate(_mom):
-                xx = decay * xx + shift + sd * z[:, k]
-                state[_sim[k]] = xx
+        def values(z, _frozen=frozen, _live=live, _sim=sim_times, _steps=steps, _sds=sds,
+                   _u=u, _t=t):
+            state = dict(zip(_sim, _walk(model.ou, backbone[_t], _steps,
+                                         (sd * z[:, k] for k, sd in enumerate(_sds)),
+                                         cfg.mutation_drift)))
             total = np.full(z.shape[0], _frozen)
             for f, tau in _live:
                 total = total + weight * forward_price(model, min(_u, f), tau, state[min(_u, f)])
@@ -530,7 +502,6 @@ def euler_representation_error(model: ModelQ, tau: float, t0: float, span: float
         factors.append(m)
 
     ou = model.ou
-    decay = math.exp(-ou.lam * h_fine)
     sd_w, slope, resid_sd = _w_integral_law(ou, h_fine)
 
     rng = np.random.default_rng(seed)
@@ -541,19 +512,16 @@ def euler_representation_error(model: ModelQ, tau: float, t0: float, span: float
         m = min(batch, n_paths - done)
         dw = sd_w * rng.standard_normal((m, n_fine))
         resid = resid_sd * rng.standard_normal((m, n_fine))
-        x = np.empty((m, n_fine + 1))
-        x[:, 0] = x_t0
-        for k in range(n_fine):
-            integral = slope * dw[:, k] + resid[:, k]
-            x[:, k + 1] = decay * x[:, k] + ou.sigma * integral
-        df = forward_price(model, t0 + span, tau, x[:, -1]) - forward_price(model, t0, tau, x[:, 0])
+        x = [x_t0] + _walk(ou, x_t0, np.full(n_fine, h_fine),
+                           (ou.sigma * (slope * dw[:, k] + resid[:, k]) for k in range(n_fine)))
+        df = forward_price(model, t0 + span, tau, x[-1]) - forward_price(model, t0, tau, x[0])
         for h, fac in zip(h_list, factors):
             idx = np.arange(0, n_fine, fac)
             dw_coarse = dw.reshape(m, n_fine // fac, fac).sum(axis=2)
             total = np.zeros(m)
             for j, k in enumerate(idx):
                 t_k = t0 + k * h_fine
-                total += price_generating(model, t_k, tau, x[:, k]) * dw_coarse[:, j]
+                total += price_generating(model, t_k, tau, x[k]) * dw_coarse[:, j]
             sums[h] += float(np.abs(df - total).sum())
         done += m
     return {h: sums[h] / n_paths for h in h_list}

@@ -2,9 +2,10 @@
 
 The load deviation follows ``dX = -lambda X dt + sigma dW`` (any mean level
 is absorbed by the seasonality function, so none is modelled here).  The
-module provides the exact one-step transition law, bias-free path
-simulation built on that law, and closed-form maximum likelihood for
-``(lambda, sigma)`` from an equally spaced sample.
+module provides the exact one-step transition law, the one exact
+recursion every simulated state in the package comes from (``_walk``),
+and closed-form maximum likelihood for ``(lambda, sigma)`` from an
+equally spaced sample.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError
-
-# below this, 1 - exp(-2 lam dt) loses accuracy and the sigma^2 dt limit applies
-_SMALL_RATE_TIME = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,34 +58,46 @@ def transition(params: OuParams, x, dt):
     """Exact conditional law of ``X_{t+dt}`` given ``X_t = x``.
 
     Returns ``(mean, variance)`` with ``mean = x e^{-lam dt}`` and
-    ``variance = sigma^2 (1 - e^{-2 lam dt}) / (2 lam)``; for
-    ``lam * dt < 1e-8`` the limit ``sigma^2 dt`` is used.  Accepts scalars
-    or arrays for ``x`` and ``dt``.
+    ``variance = sigma^2 (1 - e^{-2 lam dt}) / (2 lam)``, taken through
+    ``expm1`` so it stays accurate down to the ``sigma^2 dt`` limit of small
+    ``lam dt``.  Accepts scalars or arrays for ``x`` and ``dt``.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt < 0):
         raise DomainError("transition requires dt >= 0")
     mean = x * np.exp(-params.lam * dt)
-    small = params.lam * dt < _SMALL_RATE_TIME
-    var_exact = params.sigma**2 * -np.expm1(-2.0 * params.lam * dt) / (2.0 * params.lam)
-    variance = np.where(small, params.sigma**2 * dt, var_exact)
+    variance = params.sigma**2 * -np.expm1(-2.0 * params.lam * dt) / (2.0 * params.lam)
     if np.isscalar(x) and variance.ndim == 0:
         return float(mean), float(variance)
     return mean, variance
 
 
-def sample_transition(params: OuParams, x, dt, rng: np.random.Generator, drift: float = 0.0):
-    """Draw ``X_{t+dt}`` given ``X_t = x`` from the exact transition.
+def _step_law(params: OuParams, dt, drift: float = 0.0):
+    """``(decay, shift, sd)`` of the exact step over each ``dt``: ``e^{-lam dt}``,
+    the mean shift ``d (1 - e^{-lam dt}) / lam`` of a constant SDE drift
+    ``d`` (``dX = (-lam X + d) dt + sigma dW``) and the transition sd."""
+    decay, variance = transition(params, 1.0, dt)   # the mean from a unit state
+    shift = drift * -np.expm1(-params.lam * np.asarray(dt, dtype=float)) / params.lam
+    return decay, shift, np.sqrt(variance)
 
-    ``drift`` adds a constant drift term ``d`` to the SDE
-    (``dX = (-lam X + d) dt + sigma dW``), used by the verification
-    engine's mutation mode; its exact mean contribution is
-    ``d (1 - e^{-lam dt}) / lam``.
-    """
-    mean, variance = transition(params, x, dt)
-    if drift != 0.0:
-        mean = mean + drift * -np.expm1(-params.lam * dt) / params.lam
-    return mean + np.sqrt(variance) * rng.standard_normal(np.shape(x))
+
+def _walk(params: OuParams, x, steps, shocks, drift: float = 0.0) -> list:
+    """Exact recursion ``x <- decay_k x + shift_k + shock_k`` from ``x`` (scalar
+    or array) over consecutive ``steps``; ``shocks`` yields each step's
+    zero-mean noise in order.  Returns the state after each step."""
+    decay, shift, _ = _step_law(params, steps, drift)
+    states = []
+    for a, b, e in zip(decay.tolist(), shift.tolist(), shocks):
+        x = a * x + b + e
+        states.append(x)
+    return states
+
+
+def sample_transition(params: OuParams, x, dt, rng: np.random.Generator, drift: float = 0.0):
+    """Draw ``X_{t+dt}`` given ``X_t = x`` from the exact transition over one
+    step ``dt``; ``drift`` is the constant SDE drift of ``_step_law``."""
+    noise = _step_law(params, dt)[2] * rng.standard_normal(np.shape(x))
+    return _walk(params, x, [dt], [noise], drift)[0]
 
 
 def simulate(params: OuParams, grid, seed: int) -> OuPath:
@@ -109,18 +119,10 @@ def simulate(params: OuParams, grid, seed: int) -> OuPath:
 
 
 def _sample_path(params: OuParams, steps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact AR(1) recursion ``x_{k+1} = e^{-lam dt_k} x_k + sd_k z_k`` from
-    ``params.x0`` over consecutive ``steps``; draws one standard normal per
-    step from ``rng``, in order.  Returns the ``steps.size + 1`` values."""
-    decay = np.exp(-params.lam * steps)
-    sd = np.sqrt(np.asarray(transition(params, 0.0, steps)[1], dtype=float))
-    shocks = sd * rng.standard_normal(steps.size)
-    x = params.x0
-    values = [x]
-    for a, e in zip(decay.tolist(), shocks.tolist()):
-        x = a * x + e
-        values.append(x)
-    return np.array(values, dtype=float)
+    """Exact path from ``params.x0`` over consecutive ``steps``, one standard
+    normal per step from ``rng``; returns the ``steps.size + 1`` values."""
+    shocks = _step_law(params, steps)[2] * rng.standard_normal(steps.size)
+    return np.array([params.x0] + _walk(params, params.x0, steps, shocks.tolist()), dtype=float)
 
 
 def fit_mle(series, dt: float) -> OuParams:

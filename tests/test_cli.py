@@ -203,6 +203,24 @@ class TestUsageErrors:
         assert cli.main(["fit-ou", "--data", str(bad), "--out",
                          str(tmp_path / "r.txt")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["price", "futures", "--params", "{params}", "--t", "0", "--deliveries", "100,abc"],
+        ["risk-premium", "--params", "{params}", "--tau", "2160", "--t-start", "1000",
+         "--t-end", "2160", "--t-step", "nan", "--out", "{out}"],
+        ["price", "forward", "--params", "{params}", "--t", "0", "--tau", "nan"],
+        ["price", "forward", "--params", "{params}", "--t", "0", "--tau", "inf"],
+        ["price", "forward", "--params", "{params}", "--t", "nan", "--tau", "24"],
+        ["price", "option", "--family", "normal", "--forward", "50", "--strike", "45",
+         "--sigma-ut", "nan"],
+    ], ids=["deliveries-token", "t-step-nan", "tau-nan", "tau-inf", "t-nan", "sigma-ut-nan"])
+    def test_non_finite_number_is_usage_error(self, argv, tmp_path, params_file):
+        argv = [a.format(params=params_file, out=tmp_path / "premium.csv") for a in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejects the flag value
+            code = exc.code
+        assert code == 2
+
 
 def test_quote_commands_leave_scipy_unloaded(tmp_path, params_file):
     # a fresh interpreter, so modules other tests imported do not count

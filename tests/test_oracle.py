@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,21 @@ class TestMartingaleChecks:
         with pytest.raises(DomainError, match="integer number of fine steps"):
             ip.euler_representation_error(ref_model, 268.0, 100.0, span=0.1, cfg=cfg,
                                           x_t0=0.0, h_list=[3e-3])
+
+
+def test_mutation_drift_shifts_the_state_by_the_exact_law(ref_model):
+    # zero volatility: every path lands on x e^{-lam h} + d (1 - e^{-lam h}) / lam
+    ou = ip.OuParams(lam=ref_model.ou.lam, sigma=0.0, x0=ref_model.ou.x0)
+    model = dataclasses.replace(ref_model, ou=ou)
+    t, tau, x, drift = 100.0, 268.0, 1.0, 0.01
+    h = tau + model.conv.epsilon - t
+    expected = x * math.exp(-ou.lam * h) + drift * -math.expm1(-ou.lam * h) / ou.lam
+    drawn = ip.sample_transition(ou, x, h, np.random.default_rng(0), drift=drift)
+    assert drawn == pytest.approx(expected, rel=1e-12)
+    est = ip.mc_forward(model, t, tau, x, ip.McConfig(n_paths=4, mutation_drift=drift))
+    g_tau_e = ip.evaluate(model.load_seasonality, tau + model.conv.epsilon)
+    assert est.mean == pytest.approx(ip.intrinsic_price(model, g_tau_e + expected, tau),
+                                     rel=1e-12)
 
 
 class TestRiskPremiumOracle:
