@@ -122,6 +122,33 @@ def fit_price_seasonality(series: MarketSeries, cal: Calendar,
     return fit(series.taus[ok], target[ok], cal, series.epoch)
 
 
+def _quote_legs(ou: OuParams, supply: SupplyParams, theta: float, conv: MarketConventions,
+                tau, g_tilde_tau_e, gamma3_tau, x_tilde_spot, x_tilde_fix):
+    """Model quotes with the supply-leg moments behind them.
+
+    Returns ``(g_q, quotes)``: ``g_q`` is the pricing-measure seasonality at
+    the ex-post times, and ``quotes`` holds for the intraday quote, then
+    the day-ahead one, the tuple ``(price, discount, horizon, s, x, L1, L2)``:
+    the model price ``discount * (L1 - L2 + gamma3)``, its discount factor,
+    the horizon ``tau_e - s`` from the state time ``s``, the
+    pricing-measure state at ``s`` and the two leg moments.
+    """
+    tau = np.asarray(tau, dtype=float)
+    tau_e = tau + conv.epsilon
+    drift = ou.lam * ou.sigma * theta
+    g_q = g_tilde_tau_e - drift * tau_e
+    quotes = []
+    for lead, x_tilde in ((0.0, x_tilde_spot), (conv.delta, x_tilde_fix)):
+        horizon = conv.epsilon + lead
+        s = tau - lead
+        x = x_tilde + drift * s
+        leg1, leg2 = _leg_moments(supply, ou, g_q, horizon, x)
+        discount = np.exp(-conv.hourly_rate * horizon)
+        quotes.append((discount * ((leg1 - leg2) + gamma3_tau), discount, horizon, s, x,
+                       leg1, leg2))
+    return g_q, quotes
+
+
 def model_spot_prices(ou: OuParams, supply: SupplyParams, theta: float,
                       conv: MarketConventions, tau, g_tilde_tau_e, gamma3_tau,
                       x_tilde_spot, x_tilde_fix):
@@ -132,22 +159,9 @@ def model_spot_prices(ou: OuParams, supply: SupplyParams, theta: float,
     delivery hour and at the fixing one day earlier.  The pricing-measure
     seasonality and states follow the first-order relations.
     """
-    tau = np.asarray(tau, dtype=float)
-    tau_e = tau + conv.epsilon
-    drift = ou.lam * ou.sigma * theta
-    g_q = g_tilde_tau_e - drift * tau_e
-
-    def both_legs(horizon, x):
-        leg1, leg2 = _leg_moments(supply, ou, g_q, horizon, x)
-        return leg1 - leg2
-
-    x_spot = x_tilde_spot + drift * tau
-    intraday = np.exp(-conv.hourly_rate * conv.epsilon) * (
-        both_legs(conv.epsilon, x_spot) + gamma3_tau)
-    x_fix = x_tilde_fix + drift * (tau - conv.delta)
-    day_ahead = np.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) * (
-        both_legs(conv.delta + conv.epsilon, x_fix) + gamma3_tau)
-    return intraday, day_ahead
+    _, (intraday, day_ahead) = _quote_legs(ou, supply, theta, conv, tau, g_tilde_tau_e,
+                                           gamma3_tau, x_tilde_spot, x_tilde_fix)
+    return intraday[0], day_ahead[0]   # the price leads each quote tuple
 
 
 class PricingObjective:
@@ -189,23 +203,63 @@ class PricingObjective:
         self.day_ahead_mkt = series.day_ahead[k]
         self.overflow_evaluations = 0
 
-    def sum_of_squares(self, supply: SupplyParams, theta: float) -> float:
+    def _fit(self, supply: SupplyParams, theta: float):
+        """``(ss, g_q, quotes, errors)``: the sum of squared pricing errors,
+        the :func:`_quote_legs` output and the market-minus-model errors of
+        both quotes.  A leg overflow gives ``ss`` the penalty value and is
+        counted once."""
         try:
-            intraday, day_ahead = model_spot_prices(
-                self.ou, supply, theta, self.conv, self.tau, self.g_tilde_tau_e,
-                self.gamma3_tau, self.x_tilde_spot, self.x_tilde_fix)
+            g_q, quotes = _quote_legs(self.ou, supply, theta, self.conv, self.tau,
+                                      self.g_tilde_tau_e, self.gamma3_tau,
+                                      self.x_tilde_spot, self.x_tilde_fix)
         except NumericError:
             self.overflow_evaluations += 1
-            return _OVERFLOW_PENALTY
-        err_i = self.intraday_mkt - intraday
-        err_s = self.day_ahead_mkt - day_ahead
-        return float(err_i @ err_i + err_s @ err_s)
+            return _OVERFLOW_PENALTY, None, None, None
+        err_i = self.intraday_mkt - quotes[0][0]
+        err_s = self.day_ahead_mkt - quotes[1][0]
+        return float(err_i @ err_i + err_s @ err_s), g_q, quotes, (err_i, err_s)
 
-    def __call__(self, supply: SupplyParams, theta: float) -> float:
-        ss = self.sum_of_squares(supply, theta)
+    def sum_of_squares(self, supply: SupplyParams, theta: float) -> float:
+        return self._fit(supply, theta)[0]
+
+    def __call__(self, supply: SupplyParams, theta: float, gradient: bool = False):
+        """The objective; with ``gradient`` the pair ``(value, grad)``, where
+        ``grad`` is taken in the stage-3 coordinates
+        ``(log alpha1, log(-alpha2), beta1, beta2, theta)``.
+
+        The gradient is analytic: each leg moment is ``L = exp(E)``, and the
+        derivatives of the exponent ``E`` are ``alpha (g_q + m x - beta) +
+        2 alpha^2 kappa`` in ``log |alpha|``, ``-alpha`` in ``beta`` and
+        ``alpha lam sigma (m s - tau_e)`` in ``theta``, with ``m = e^{-lam h}``
+        and ``kappa = sigma^2 (1 - m^2) / (4 lam)``.  It is zero on the
+        overflow-penalty plateau, and at an exact fit, where the square root
+        has no gradient.
+        """
+        ss, g_q, quotes, errors = self._fit(supply, theta)
         if ss >= _OVERFLOW_PENALTY:
-            return _OVERFLOW_PENALTY
-        return np.sqrt(ss) / (2.0 * self.n_obs)
+            return (_OVERFLOW_PENALTY, np.zeros(5)) if gradient else _OVERFLOW_PENALTY
+        root = np.sqrt(ss)
+        value = root / (2.0 * self.n_obs)
+        if not gradient:
+            return value
+        grad = np.zeros(5)
+        if root == 0.0:
+            return value, grad
+        ou, a1, a2 = self.ou, supply.alpha1, supply.alpha2
+        tau_e = self.tau + self.conv.epsilon
+        for err, (_, discount, horizon, s, x, leg1, leg2) in zip(errors, quotes):
+            m = np.exp(-ou.lam * horizon)
+            kappa = ou.sigma**2 / (4.0 * ou.lam) * (1.0 - m * m)
+            level = g_q + m * x
+            w1 = discount * err * leg1
+            w2 = discount * err * leg2
+            grad[0] += w1 @ (a1 * (level - supply.beta1) + 2.0 * a1 * a1 * kappa)
+            grad[1] -= w2 @ (a2 * (level - supply.beta2) + 2.0 * a2 * a2 * kappa)
+            grad[2] -= a1 * w1.sum()
+            grad[3] += a2 * w2.sum()
+            grad[4] += (a1 * w1 - a2 * w2) @ (ou.lam * ou.sigma * (m * s - tau_e))
+        # the model price enters ss = sum(err^2) with a minus sign
+        return value, -grad / (2.0 * self.n_obs * root)
 
 
 def pricing_objective(supply: SupplyParams, theta: float, series: MarketSeries,
@@ -248,10 +302,11 @@ def calibrate_supply_theta(series: MarketSeries, g_tilde: SeasonalityModel, ou: 
     """Stage 3: quasi-Newton minimisation of the pricing objective.
 
     The sign constraints are built into a log / negative-log
-    reparameterisation of the exponents; gradients are central
-    differences with relative step 1e-6.  Convergence means a final
-    gradient norm below 1e-6; otherwise the result is returned with the
-    flag down.
+    reparameterisation of the exponents; the gradient is analytic (see
+    :class:`PricingObjective`), so BFGS gets value and gradient from one
+    pass over the leg moments.  Convergence means a final gradient norm
+    below 1e-6; otherwise the result is returned with the flag down.  A
+    result on the overflow-penalty plateau is never converged.
     """
     from scipy.optimize import minimize
 
@@ -259,18 +314,18 @@ def calibrate_supply_theta(series: MarketSeries, g_tilde: SeasonalityModel, ou: 
 
     def f(u):
         supply, theta = _unpack(u)
-        return objective(supply, theta)
+        return objective(supply, theta, gradient=True)
 
-    result = minimize(
-        f, _pack(init_supply, init_theta), method="BFGS",
-        jac=lambda u: numerical_gradient(f, u, rel_step=1e-6),
-        options={"gtol": 1e-6, "maxiter": max_iterations})
+    result = minimize(f, _pack(init_supply, init_theta), method="BFGS", jac=True,
+                      options={"gtol": 1e-6, "maxiter": max_iterations})
 
     supply, theta = _unpack(result.x)
     grad_norm = float(np.linalg.norm(result.jac))
     # an exact fit leaves the square-root objective conical, so the gradient
-    # test cannot trigger; a numerically zero objective counts as converged
-    converged = bool(grad_norm < 1e-6 or result.success or result.fun <= 1e-10)
+    # test cannot trigger; a numerically zero objective counts as converged.
+    # The penalty plateau is flat, so its zero gradient says nothing.
+    converged = bool((grad_norm < 1e-6 or result.success or result.fun <= 1e-10)
+                     and result.fun < _OVERFLOW_PENALTY)
     diagnostics = CalibrationDiagnostics(
         iterations=int(result.nit), converged=converged,
         message=str(result.message), overflow_evaluations=objective.overflow_evaluations)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,14 +34,98 @@ class CsvSchema:
     intraday: str = "intraday"
 
 
-def _parse_float(field: str, path, lineno: int, column: str) -> float:
-    text = field.strip()
-    if not text:
-        return float("nan")
+# rows parsed or formatted at a time: whole columns are fast, a whole file in
+# memory at once is not
+_BLOCK_ROWS = 4096
+_ONE_HOUR = _dt.timedelta(hours=1)
+_NAN = float("nan")
+
+
+def _first_failure(parse, texts):
+    """``(values, k)``: ``parse`` over ``texts`` up to the first one that
+    raises ``ValueError``, at index ``k`` (``len(texts)`` when none does)."""
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: column {column!r}: {field!r} is not a number") from exc
+        return [parse(t) for t in texts], len(texts)
+    except ValueError:
+        pass
+    values = []
+    for t in texts:
+        try:
+            values.append(parse(t))
+        except ValueError:
+            break
+    return values, len(values)
+
+
+def _first(flags) -> int:
+    """Index of the first true flag, or the length when none is."""
+    return next((k for k, bad in enumerate(flags) if bad), len(flags))
+
+
+def _parse_floats(fields) -> tuple[list[float], int]:
+    """:func:`_first_failure` of ``float`` over the stripped fields, with NaN
+    for an empty one."""
+    texts = [f.strip() for f in fields]
+    try:   # the same parse as below, inlined: a call per field costs more
+        return [float(t) if t else _NAN for t in texts], len(texts)
+    except ValueError:
+        return _first_failure(lambda t: float(t) if t else _NAN, texts)
+
+
+def _parse_block(rows, cols, header, prev, path, schema):
+    """Parse one block of ``(lineno, row)`` pairs column by column.
+
+    Returns the block's timestamps and its load, day-ahead and intraday
+    arrays.  ``prev`` is the last timestamp of the previous block, or
+    ``None``.  The error raised is the one a row-by-row parse meets first:
+    each check runs on the rows before the earliest failure found so far,
+    in the order one row is checked.
+    """
+    limit, error = len(rows), None
+
+    def fail(k, message):
+        nonlocal limit, error
+        limit, error = k, f"{path}:{rows[k][0]}: {message}"
+
+    width = max(cols.values()) + 1
+    k = _first([len(row) < width for _, row in rows])
+    if k < limit:
+        fail(k, f"expected {len(header)} fields, got {len(rows[k][1])}")
+    raw = [row[cols["timestamp"]] for _, row in rows[:limit]]
+    stamps, k = _first_failure(_dt.datetime.fromisoformat, [t.strip() for t in raw])
+    if k < limit:
+        fail(k, f"bad timestamp {raw[k]!r}")
+    k = _first([ts.minute or ts.second or ts.microsecond for ts in stamps[:limit]])
+    if k < limit:
+        fail(k, "timestamps must be on the hour")
+    chain = stamps[:limit] if prev is None else [prev] + stamps[:limit]
+    steps = [b - a for a, b in zip(chain, chain[1:])]
+    j = _first([step != _ONE_HOUR for step in steps])
+    if j < len(steps):
+        k = j + (prev is None)   # the row that ends step j
+        gap = steps[j].total_seconds() / 3600.0
+        if gap == 0:
+            fail(k, f"duplicated timestamp {stamps[k].isoformat()}")
+        elif gap < 0:
+            fail(k, "timestamps not increasing")
+        else:
+            fail(k, f"{gap:g} hour jump in the load series (gaps in load are not allowed)")
+    columns = []
+    for name, column in (("load", schema.load), ("day_ahead", schema.day_ahead),
+                         ("intraday", schema.intraday)):
+        raw = [row[cols[name]] for _, row in rows[:limit]]
+        values, k = _parse_floats(raw)
+        if k < limit:
+            fail(k, f"column {column!r}: {raw[k]!r} is not a number")
+        values = np.array(values[:limit], dtype=float)
+        if name == "load":
+            missing = np.flatnonzero(~np.isfinite(values))
+            if missing.size:
+                fail(int(missing[0]), "missing load value")
+        columns.append(values)
+    if error is not None:
+        raise ParseError(error)
+    return stamps, *columns
 
 
 def load_series(path, schema: CsvSchema = CsvSchema()) -> MarketSeries:
@@ -62,60 +147,58 @@ def load_series(path, schema: CsvSchema = CsvSchema()) -> MarketSeries:
                              f"{', '.join(map(repr, missing))}")
         cols = {f: header.index(getattr(schema, f)) for f in fields}
 
-        stamps: list[_dt.datetime] = []
-        load, day_ahead, intraday = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
+        numbered = enumerate(reader, start=2)
+        first = last = None
+        blocks = []
+        while block := list(itertools.islice(numbered, _BLOCK_ROWS)):
+            rows = [(n, row) for n, row in block if "".join(row).strip()]
+            if not rows:
                 continue
-            if len(row) <= max(cols.values()):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                ts = _dt.datetime.fromisoformat(row[cols["timestamp"]].strip())
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad timestamp "
-                                 f"{row[cols['timestamp']]!r}") from exc
-            if ts.minute or ts.second or ts.microsecond:
-                raise ParseError(f"{path}:{lineno}: timestamps must be on the hour")
-            if stamps:
-                gap = (ts - stamps[-1]).total_seconds() / 3600.0
-                if gap == 0:
-                    raise ParseError(f"{path}:{lineno}: duplicated timestamp {ts.isoformat()}")
-                if gap < 0:
-                    raise ParseError(f"{path}:{lineno}: timestamps not increasing")
-                if gap != 1:
-                    raise ParseError(f"{path}:{lineno}: {gap:g} hour jump in the load series "
-                                     "(gaps in load are not allowed)")
-            stamps.append(ts)
-            value = _parse_float(row[cols["load"]], path, lineno, schema.load)
-            if not np.isfinite(value):
-                raise ParseError(f"{path}:{lineno}: missing load value")
-            load.append(value)
-            day_ahead.append(_parse_float(row[cols["day_ahead"]], path, lineno, schema.day_ahead))
-            intraday.append(_parse_float(row[cols["intraday"]], path, lineno, schema.intraday))
+            stamps, *columns = _parse_block(rows, cols, header, last, path, schema)
+            if first is None:
+                first = stamps[0]
+            last = stamps[-1]
+            blocks.append(columns)
 
-    if len(stamps) < 2:
+    n_rows = sum(len(load) for load, _, _ in blocks)
+    if n_rows < 2:
         raise ParseError(f"{path}: need at least two data rows")
-    first = stamps[0]
-    return MarketSeries(epoch=first.date(),
-                        taus=first.hour + np.arange(len(stamps), dtype=float),
-                        load=np.array(load), day_ahead=np.array(day_ahead),
-                        intraday=np.array(intraday))
+    load, day_ahead, intraday = (np.concatenate(c) for c in zip(*blocks))
+    return MarketSeries(epoch=first.date(), taus=first.hour + np.arange(n_rows, dtype=float),
+                        load=load, day_ahead=day_ahead, intraday=intraday)
+
+
+def _stamp_strings(taus: np.ndarray, epoch: _dt.date) -> list[str]:
+    """``isoformat(sep=" ")`` of ``epoch`` midnight plus ``taus`` hours, as
+    ``datetime + timedelta(hours=tau)`` gives it: whole hours plus the
+    fraction rounded half-even to a microsecond, with the microseconds
+    printed only when they are not zero."""
+    fraction, whole = np.modf(taus)
+    micros = whole.astype(np.int64) * 3_600_000_000 + np.rint(fraction * 3.6e9).astype(np.int64)
+    stamps = np.datetime64(epoch, "us") + micros.astype("timedelta64[us]")
+    return [f"{s[:10]} {s[11:19]}" if s.endswith(".000000") else f"{s[:10]} {s[11:]}"
+            for s in np.datetime_as_string(stamps, unit="us").tolist()]
+
+
+def _cells(values: np.ndarray) -> list[str]:
+    """Shortest round-trip ``repr`` of each finite value, empty otherwise."""
+    cells = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[k] = ""
+    return cells
 
 
 def write_series(series: MarketSeries, path, schema: CsvSchema = CsvSchema()):
     """Write a series in the CSV schema; floats use shortest round-trip form."""
-    midnight = _dt.datetime.combine(series.epoch, _dt.time())
-
-    def cell(x: float) -> str:
-        return repr(float(x)) if np.isfinite(x) else ""
-
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([schema.timestamp, schema.load, schema.day_ahead, schema.intraday])
-        for k in range(len(series)):
-            ts = midnight + _dt.timedelta(hours=float(series.taus[k]))
-            writer.writerow([ts.isoformat(sep=" "), cell(series.load[k]),
-                             cell(series.day_ahead[k]), cell(series.intraday[k])])
+        csv.writer(fh, lineterminator="\n").writerow(
+            [schema.timestamp, schema.load, schema.day_ahead, schema.intraday])
+        for start in range(0, len(series), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            # no cell holds a separator, a quote or a line break, so none needs quoting
+            fh.write("".join([f"{ts},{load},{da},{intra}\n" for ts, load, da, intra in zip(
+                _stamp_strings(series.taus[block], series.epoch), _cells(series.load[block]),
+                _cells(series.day_ahead[block]), _cells(series.intraday[block]))]))
 
 
 def price_coverage(series: MarketSeries) -> dict[str, dict]:

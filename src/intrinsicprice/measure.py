@@ -88,6 +88,18 @@ def q_seasonality_from_p(g_tilde: SeasonalityModel, ou: OuParams, theta: float) 
     return g_tilde.with_trend(g_tilde.trend - ou.lam * ou.sigma * theta)
 
 
+def _density_inputs(w_increments, grid):
+    grid = np.asarray(grid, dtype=float)
+    w_increments = np.asarray(w_increments, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise DomainError("grid must be a non-empty 1-d array")
+    if np.any(np.diff(grid) <= 0):
+        raise DomainError("grid must be strictly increasing")
+    if w_increments.shape[-1] != grid.size - 1:
+        raise DomainError("need one Brownian increment per grid interval")
+    return w_increments, grid
+
+
 def radon_nikodym_path(drift: float, w_increments, grid) -> np.ndarray:
     """Density process of the measure change along a Brownian path.
 
@@ -98,19 +110,25 @@ def radon_nikodym_path(drift: float, w_increments, grid) -> np.ndarray:
     time (1 at the first).  For a constant parameter the Novikov condition
     holds automatically, so the result is a positive unit-mean martingale.
     """
-    grid = np.asarray(grid, dtype=float)
-    w_increments = np.asarray(w_increments, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise DomainError("grid must be a non-empty 1-d array")
-    if np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly increasing")
-    if w_increments.shape[-1] != grid.size - 1:
-        raise DomainError("need one Brownian increment per grid interval")
+    w_increments, grid = _density_inputs(w_increments, grid)
     w_cum = np.cumsum(w_increments, axis=-1)
     elapsed = grid[1:] - grid[0]
     log_density = drift * w_cum - 0.5 * drift**2 * elapsed
     ones = np.ones(w_increments.shape[:-1] + (1,))
     return np.concatenate([ones, np.exp(log_density)], axis=-1)
+
+
+def _terminal_density(drift: float, w_increments, grid) -> np.ndarray:
+    """The last column of :func:`radon_nikodym_path`, bit for bit, without
+    building the path: the increments are summed one grid interval at a
+    time, in the order ``cumsum`` adds them."""
+    w_increments, grid = _density_inputs(w_increments, grid)
+    if grid.size == 1:
+        return np.ones(w_increments.shape[:-1])
+    w_end = w_increments[..., 0].copy()
+    for k in range(1, grid.size - 1):
+        w_end += w_increments[..., k]
+    return np.exp(drift * w_end - 0.5 * drift**2 * (grid[-1] - grid[0]))
 
 
 def _real_world_legs(model: ModelQ, theta: float, t, tau, x_tilde):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conventions import DeliverySet
 from .errors import DomainError
-from .measure import radon_nikodym_path, risk_premium, to_risk_neutral_state
+from .measure import _terminal_density, risk_premium, to_risk_neutral_state
 from .model import (ModelQ, forward_price, futures_price, intraday_price,
                     day_ahead_price, intrinsic_price, price_generating,
                     tradable_price)
@@ -337,8 +337,7 @@ def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float, cfg: McConf
     drift_rate = ou.lam * theta
 
     def values(z):
-        nu = radon_nikodym_path(drift_rate, sqrt_h * z, grid)
-        return nu[:, -1]
+        return _terminal_density(drift_rate, sqrt_h * z, grid)
 
     return OracleCheck("density process unit mean", 1.0, _run_batches(cfg, n_steps, values))
 
@@ -360,7 +359,7 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float, cfg: McConfi
         # centred deviation under P: the pricing-measure path with drift -lam sigma theta
         shocks = (ou.sigma * integral[:, k] for k in range(n_steps))
         x = _walk(ou, ou.x0, np.full(n_steps, h), shocks, -ou.lam * ou.sigma * theta)[-1]
-        nu = radon_nikodym_path(drift_rate, dw, grid)[:, -1]
+        nu = _terminal_density(drift_rate, dw, grid)
         return x, nu
 
     def values_mean(z):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -95,6 +96,46 @@ class TestPricingObjective:
         with pytest.raises(EstimationError):
             PricingObjective(empty, g_tilde, ref_model.ou,
                              ref_model.price_seasonality, ref_model.conv)
+
+
+class TestAnalyticGradient:
+    @staticmethod
+    def random_points(seed, count=5):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield np.array([np.log(rng.uniform(0.15, 0.25)), np.log(rng.uniform(0.15, 0.25)),
+                            rng.uniform(42.0, 46.0), rng.uniform(35.0, 40.0),
+                            rng.choice([-1.0, 1.0]) * rng.uniform(0.001, 0.01)])
+
+    @pytest.mark.parametrize("rows", [None, np.arange(300, 1100)], ids=["all", "rows"])
+    def test_matches_fine_central_differences(self, ref_model, ref_theta, rows):
+        series = ip.generate_synthetic(ref_model, ref_theta, 24 * 60, 0.3, seed=21)
+        g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
+        objective = PricingObjective(series, g_tilde, ref_model.ou,
+                                     ref_model.price_seasonality, ref_model.conv, rows=rows)
+
+        def f(u):
+            return objective(ip.SupplyParams(np.exp(u[0]), -np.exp(u[1]), u[2], u[3]), u[4])
+
+        for u in self.random_points(22):
+            supply = ip.SupplyParams(np.exp(u[0]), -np.exp(u[1]), u[2], u[3])
+            value, grad = objective(supply, u[4], gradient=True)
+            assert value == objective(supply, u[4])
+            fine = ip.numerical_gradient(f, u, rel_step=1e-8)
+            # the reference's own rounding error, eps |f| / h, exceeds 1e-6 of
+            # the small leg-2 components
+            rounding = np.finfo(float).eps * value / (1e-8 * np.maximum(np.abs(u), 1.0))
+            assert np.all(np.abs(grad - fine) <= 1e-6 * np.abs(fine) + rounding)
+
+    def test_zero_on_the_penalty_plateau_and_counted_once(self, ref_model, synthetic):
+        series, g_tilde = synthetic
+        objective = PricingObjective(series, g_tilde, ref_model.ou,
+                                     ref_model.price_seasonality, ref_model.conv)
+        absurd = ip.SupplyParams(alpha1=80.0, alpha2=-0.1, beta1=0.0, beta2=0.0)
+        value, grad = objective(absurd, 0.0, gradient=True)
+        assert value == 1e12
+        assert np.array_equal(grad, np.zeros(5))
+        assert objective.overflow_evaluations == 1
 
 
 class TestNumericalGradient:
@@ -266,6 +307,39 @@ class TestCalibrateSupplyTheta:
         b = scipy.optimize.minimize(pack(objective.sum_of_squares), u0, method="BFGS",
                                     options={"gtol": 1e-10}).x
         assert np.allclose(a, b, atol=1e-4)
+
+    def test_stage_three_needs_at_most_two_evaluations_per_iteration(self, ref_model,
+                                                                       ref_theta, monkeypatch):
+        series = ip.generate_synthetic(ref_model, ref_theta, 24 * 60, 0.3, seed=23)
+        g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
+        calls = []
+        original = PricingObjective.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PricingObjective, "__call__", counted)
+        start = ip.SupplyParams(alpha1=0.21, alpha2=-0.17, beta1=44.5, beta2=37.0)
+        result = ip.calibrate_supply_theta(series, g_tilde, ref_model.ou,
+                                           ref_model.price_seasonality, ref_model.conv,
+                                           init_supply=start, init_theta=0.001)
+        assert result.diagnostics.converged
+        assert result.diagnostics.iterations >= 5
+        assert len(calls) <= 2 * result.diagnostics.iterations
+
+    def test_start_on_the_overflow_plateau_is_not_converged(self, ref_model, ref_theta):
+        # every leg overflows at the start, so the objective is the flat
+        # penalty and the optimiser cannot move
+        series = ip.generate_synthetic(ref_model, ref_theta, 24 * 400, 0.5, seed=1)
+        g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
+        start = dataclasses.replace(ref_model.supply, alpha1=30.0)
+        result = ip.calibrate_supply_theta(series, g_tilde, ref_model.ou,
+                                           ref_model.price_seasonality, ref_model.conv,
+                                           init_supply=start, init_theta=ref_theta)
+        assert result.objective_value == 1e12
+        assert not result.diagnostics.converged
+        assert result.diagnostics.overflow_evaluations >= 1
 
     def test_rejects_wrong_sign_start(self):
         with pytest.raises(DomainError):

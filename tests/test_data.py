@@ -1,5 +1,7 @@
 import datetime as dt
+import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, ParseError
+from intrinsicprice.data import _BLOCK_ROWS
 
 
 def write_csv(path, rows, header="timestamp,load,day_ahead,intraday"):
@@ -145,6 +148,110 @@ class TestRoundTrip:
         ip.write_series(series, a)
         ip.write_series(series, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestColumnwiseBlocks:
+    """The CSV layer works on blocks of ``_BLOCK_ROWS`` rows; files longer
+    than one block must read and write exactly as a row-by-row pass does."""
+
+    def test_written_bytes_match_pinned_digest(self, tmp_path):
+        # NaN and +-inf prices are blank, -0.0 and exponents keep their repr,
+        # and the start (07:30 plus 3 * 2^-11 h, a half-microsecond tie that
+        # rounds up to even) is not a whole hour; the digest is of the file
+        # the row-by-row writer made
+        n = 5000
+        assert n > _BLOCK_ROWS
+        k = np.arange(n, dtype=float)
+        day_ahead = 30.0 + k / 7.0 - (k % 13) / 3.0
+        intraday = -5.0 + k / 11.0
+        day_ahead[::17] = np.nan
+        day_ahead[1] = -0.0
+        intraday[3::29] = np.inf
+        intraday[5::31] = -np.inf
+        intraday[7] = 1e-07
+        intraday[8] = 1.5e300
+        series = ip.MarketSeries(epoch=dt.date(2015, 12, 31), taus=7.5 + 3 * 2.0**-11 + k,
+                                 load=40.0 + (k % 97) / 8.0 + k / 3.0,
+                                 day_ahead=day_ahead, intraday=intraday)
+        path = tmp_path / "pinned.csv"
+        ip.write_series(series, path)
+        data = path.read_bytes()
+        lines = data.decode().splitlines()
+        assert lines[:3] == ["timestamp,load,day_ahead,intraday",
+                             "2015-12-31 07:30:05.273438,40.0,,-5.0",
+                             "2015-12-31 08:30:05.273438,40.458333333333336,-0.0,"
+                             "-4.909090909090909"]
+        assert lines[4].endswith(",") and lines[6].endswith(",")
+        assert lines[8].endswith(",1e-07") and lines[9].endswith(",1.5e+300")
+        assert hashlib.sha256(data).hexdigest() == (
+            "f96051598a9903abce80538f175788b97b28cea831769465c29a95bd13dd4726")
+
+    def test_round_trip_over_several_blocks(self, tmp_path, ref_model, ref_theta):
+        series = ip.generate_synthetic(ref_model, ref_theta, 2 * _BLOCK_ROWS + 30, 0.4, seed=11)
+        path = tmp_path / "round.csv"
+        ip.write_series(series, path)
+        assert path.read_text().splitlines()[1].startswith("2015-01-01 00:00:00,")
+        back = ip.load_series(path)
+        assert back.epoch == series.epoch
+        for name in ("taus", "load", "day_ahead", "intraday"):
+            assert np.array_equal(getattr(back, name), getattr(series, name), equal_nan=True)
+
+    @staticmethod
+    def hourly_rows(n):
+        start = dt.datetime(2015, 3, 1)
+        return [f"{(start + dt.timedelta(hours=h)).isoformat(sep=' ')},"
+                f"{50 + h % 7},{30 + h % 5},{31 + h % 3}" for h in range(n)]
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("defect, message", [
+        ("gap", "2 hour jump in the load series"),
+        ("duplicate", "duplicated timestamp"),
+        ("number", "column 'intraday': 'x' is not a number"),
+    ])
+    def test_error_after_block_boundary_names_its_line(self, tmp_path, defect, message, offset):
+        # reader row r is file line r + 2; blank rows count as lines and as
+        # block rows, and one sits just before the boundary
+        rows = ["", ",,,", " , ,"] + self.hourly_rows(_BLOCK_ROWS + 10)
+        rows[_BLOCK_ROWS - 1:_BLOCK_ROWS - 1] = [""]
+        r = _BLOCK_ROWS + offset
+        rest = rows[r].split(",", 1)[1]
+        if defect == "gap":
+            for j in range(r, len(rows)):
+                ts, tail = rows[j].split(",", 1)
+                later = dt.datetime.fromisoformat(ts) + dt.timedelta(hours=1)
+                rows[j] = f"{later.isoformat(sep=' ')},{tail}"
+        elif defect == "duplicate":
+            previous = next(row for row in reversed(rows[:r]) if row.strip(" ,"))
+            rows[r] = previous.split(",", 1)[0] + "," + rest
+        else:
+            rows[r] = rows[r].rsplit(",", 1)[0] + ",x"
+        path = write_csv(tmp_path / "d.csv", rows)
+        with pytest.raises(ParseError, match=rf"d\.csv:{r + 2}: {re.escape(message)}"):
+            ip.load_series(path)
+
+    @pytest.mark.parametrize("edits, line, message", [
+        ([(5, 3, "x"), (7, 0, "2015-03-01 09:00:00")], 7, "column 'intraday'"),
+        ([(5, 0, "2015-03-01 06:00:00"), (5, 1, "x")], 7, "2 hour jump"),
+        ([(5, 0, "2015-03-01 06:00:00"), (4, 2, "y")], 6, "column 'day_ahead'"),
+    ], ids=["number-before-later-gap", "gap-before-number-in-its-row", "earlier-row-first"])
+    def test_earliest_failing_row_wins(self, tmp_path, edits, line, message):
+        rows = [row.split(",") for row in self.hourly_rows(12)]
+        for r, column, text in edits:
+            rows[r][column] = text
+        path = write_csv(tmp_path / "d.csv", [",".join(row) for row in rows])
+        with pytest.raises(ParseError, match=rf"d\.csv:{line}: {message}"):
+            ip.load_series(path)
+
+
+def test_trailing_separator_loads_the_same_series(tmp_path):
+    rows = ["2015-06-28 00:00:00,55.1,30.2,31.3", "2015-06-28 01:00:00,54.0,,30.8",
+            "2015-06-28 02:00:00,53.5,29.1,"]
+    plain = ip.load_series(write_csv(tmp_path / "plain.csv", rows))
+    trailing = ip.load_series(write_csv(tmp_path / "trailing.csv", [r + "," for r in rows],
+                                        header="timestamp,load,day_ahead,intraday,"))
+    assert trailing.epoch == plain.epoch
+    for name in ("taus", "load", "day_ahead", "intraday"):
+        assert np.array_equal(getattr(trailing, name), getattr(plain, name), equal_nan=True)
 
 
 class TestGenerateSynthetic:

@@ -5,6 +5,7 @@ import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError
+from intrinsicprice.measure import _terminal_density
 
 
 class TestRealWorldSeasonality:
@@ -95,6 +96,19 @@ class TestRadonNikodym:
         with pytest.raises(DomainError, match="increasing"):
             ip.radon_nikodym_path(0.1, np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]))
 
+
+    @pytest.mark.parametrize("shape", [(1000, 8), (3, 4, 5), (6, 1), (5,), (4, 0)])
+    def test_terminal_density_is_the_last_column_bit_for_bit(self, rng, shape):
+        grid = np.linspace(2.0, 170.0, shape[-1] + 1)
+        w = rng.normal(0.0, 3.0, size=shape)
+        path = ip.radon_nikodym_path(-0.013, w, grid)
+        assert np.array_equal(_terminal_density(-0.013, w, grid), path[..., -1])
+
+    def test_terminal_density_validates_like_the_path(self):
+        with pytest.raises(DomainError, match="increment"):
+            _terminal_density(0.1, np.zeros((3, 4)), np.linspace(0, 1, 4))
+        with pytest.raises(DomainError, match="increasing"):
+            _terminal_density(0.1, np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]))
 
 class TestGirsanovConsistency:
     def test_weighted_moments_match_real_world(self, ref_ou, ref_theta):

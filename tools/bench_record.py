@@ -1,0 +1,114 @@
+"""Record a parent-against-change benchmark comparison as a BENCH_*.json file.
+
+    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_6.json \
+        --workloads calibrate_3y cli_quote --pairs 10 --seed 7 --seconds 20
+
+``DIR`` is the root of a checkout (made with ``git clone``, so that the
+provenance carries its git SHA).  For each workload and each pair the
+script runs ``perfbench/run.py --trace 0`` of both checkouts, one after
+the other, alternating which side runs first; it never edits the
+benchmark.  The output keeps every run (its metrics, ``correct``,
+``failed`` and ``attempted``) and, per side and metric, the median and
+quartiles, plus the number of pairs the change won.  An existing output
+file gains the workloads run now, so workloads may use different pair
+counts.  The provenance of
+each side is the git SHA and the SHA-256 of ``src/`` that ``run.py``
+prints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``root``: its result and provenance."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{root}: {workload} exited with code {proc.returncode}: "
+                         f"{proc.stderr.strip()}")
+    provenance = next(json.loads(line.split(" ", 2)[2]) for line in lines
+                      if line.startswith("# provenance "))
+    result = json.loads(lines[-1])
+    return {"provenance": provenance, "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "units": {name: m["unit"] for name, m in result["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarise(runs: list[dict]) -> dict:
+    """Per side and metric the median and quartiles; per metric the change's
+    wins over the pairs (lower is better for every end-to-end metric)."""
+    by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
+    names = list(by_side["parent"][0]["metrics"])
+    summary = {side: {name: quartiles([r["metrics"][name] for r in side_runs])
+                      for name in names}
+               for side, side_runs in by_side.items()}
+    pairs = list(zip(by_side["parent"], by_side["change"]))
+    summary["change_wins"] = {
+        name: f"{sum(c['metrics'][name] < p['metrics'][name] for p, c in pairs)}/{len(pairs)}"
+        for name in names}
+    summary["units"] = by_side["parent"][0]["units"]
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout root")
+    parser.add_argument("--change", type=Path, required=True, help="change checkout root")
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    record = {"seed": args.seed, "seconds": args.seconds, "sides": {}, "workloads": {}}
+    if args.out.exists():   # add to an earlier record of the same comparison
+        record = json.loads(args.out.read_text())
+        if (record["seed"], record["seconds"]) != (args.seed, args.seconds):
+            raise SystemExit(f"{args.out} holds runs with another seed or run length")
+    for workload in args.workloads:
+        runs = []
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                run = run_once(roots[side], workload, args.seed, args.seconds)
+                prov = run.pop("provenance")
+                side_prov = {"git_sha": prov["git_sha"], "src_sha256": prov["src_sha256"]}
+                if record["sides"].setdefault(side, side_prov) != side_prov:
+                    raise SystemExit(f"{roots[side]} is not the checkout recorded as {side}")
+                runs.append({"pair": pair, "side": side, "position": position, **run})
+                print(f"{workload} pair {pair} {side}: "
+                      + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
+                      + f" correct={run['correct']} failed={run['failed']}", flush=True)
+        summary = summarise(runs)
+        for run in runs:
+            run.pop("units")
+        record["workloads"][workload] = {"pairs": args.pairs, "summary": summary, "runs": runs}
+        # written after each workload, so a long session keeps what it measured
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
