@@ -15,8 +15,8 @@ from .calibration import (CalibrationDiagnostics, CalibrationResult, MarketSerie
                           model_spot_prices, numerical_gradient, pricing_objective)
 from .conventions import (DeliverySet, DeliveryTime, MarketConventions, discount,
                           load_conventions)
-from .data import (CsvSchema, generate_synthetic, load_series, price_coverage,
-                   reference_model, write_series)
+from .data import (generate_synthetic, load_series, price_coverage, reference_model,
+                   write_series)
 from .errors import DomainError, EstimationError, NumericError, ParseError
 from .measure import (GirsanovParam, p_seasonality_from_q, q_seasonality_from_p,
                       radon_nikodym_path, real_world_seasonality, risk_premium,

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, data, oracle
-from .conventions import DeliverySet, MarketConventions, load_conventions
+from .conventions import (DeliverySet, MarketConventions, _read_pairs, _read_text,
+                          load_conventions)
 from .errors import DomainError, EstimationError, NumericError, ParseError
 from .measure import p_seasonality_from_q, q_seasonality_from_p, risk_premium
 from .model import ModelQ, SupplyParams, forward_price, futures_price
@@ -26,8 +27,8 @@ from .options import (LognormalOptionInputs, NormalOptionInputs, bachelier_call,
                       bachelier_put, black76_call, black76_put)
 from .oracle import McConfig
 from .ou import OuParams
-from .seasonality import (COLUMN_NAMES, Calendar, SeasonalityModel, _from_coefficients,
-                          load_calendar)
+from .seasonality import (_CALENDAR_TAGS, COLUMN_NAMES, Calendar, SeasonalityModel,
+                          _from_coefficients, load_calendar)
 
 _SEASONALITY_KEYS = ("level", "trend", "sin_annual", "cos_annual")
 
@@ -62,11 +63,8 @@ def model_to_params(model: ModelQ, theta: float) -> dict:
         "theta": theta,
         "load_seasonality": _seasonality_to_dict(model.load_seasonality),
         "price_seasonality": _seasonality_to_dict(model.price_seasonality),
-        "calendar": {
-            "holiday": sorted(d.isoformat() for d in cal.holidays),
-            "partial": sorted(d.isoformat() for d in cal.partial_holidays),
-            "bridge": sorted(d.isoformat() for d in cal.bridge_days),
-        },
+        "calendar": {tag: sorted(d.isoformat() for d in getattr(cal, name))
+                     for tag, name in _CALENDAR_TAGS.items()},
     }
 
 
@@ -74,11 +72,8 @@ def model_from_params(params: dict) -> tuple[ModelQ, float]:
     try:
         epoch = _dt.date.fromisoformat(params["epoch"])
         cal_dict = params.get("calendar", {})
-        cal = Calendar(
-            holidays=frozenset(_dt.date.fromisoformat(d) for d in cal_dict.get("holiday", [])),
-            partial_holidays=frozenset(
-                _dt.date.fromisoformat(d) for d in cal_dict.get("partial", [])),
-            bridge_days=frozenset(_dt.date.fromisoformat(d) for d in cal_dict.get("bridge", [])))
+        cal = Calendar(**{name: frozenset(map(_dt.date.fromisoformat, cal_dict.get(tag, [])))
+                          for tag, name in _CALENDAR_TAGS.items()})
         conv = MarketConventions(**params.get("conventions", {}))
         ou_d = params["ou"]
         ou = OuParams(lam=float(ou_d["lambda"]), sigma=float(ou_d["sigma"]),
@@ -87,17 +82,20 @@ def model_from_params(params: dict) -> tuple[ModelQ, float]:
         g = _seasonality_from_dict(params["load_seasonality"], cal, epoch)
         gamma3 = _seasonality_from_dict(params["price_seasonality"], cal, epoch)
         theta = float(params["theta"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed params file: {exc!r}") from exc
     return ModelQ(ou=ou, supply=supply, load_seasonality=g,
                   price_seasonality=gamma3, conv=conv), theta
 
 
 def load_model_file(path) -> tuple[ModelQ, float]:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    return model_from_params(json.loads(path.read_text()))
+    try:
+        params = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
+    return model_from_params(params)
 
 
 def _write_report(path, pairs):
@@ -112,15 +110,7 @@ def _seasonality_report_pairs(model: SeasonalityModel):
 
 
 def read_seasonality_report(path, cal: Calendar) -> SeasonalityModel:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        if not value:
-            raise ParseError(f"{path}:{lineno}: expected 'key value'")
-        values[key] = value
+    values = {key: value for _, key, value in _read_pairs(path)}
     try:
         epoch = _dt.date.fromisoformat(values.pop("epoch"))
         beta = np.array([float(values.pop(k)) for k in COLUMN_NAMES])
@@ -394,8 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DomainError, EstimationError, NumericError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, DomainError, EstimationError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

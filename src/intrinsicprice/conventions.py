@@ -10,6 +10,7 @@ which is the rate used in every discount factor.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,28 +102,56 @@ _CONVENTION_KEYS = {
 }
 
 
-def load_conventions(path) -> MarketConventions:
-    """Read conventions from a key/value text file.
+def _read_text(path) -> str:
+    """The text of an input file, read as UTF-8 with an optional BOM.
 
-    Recognised keys: ``epsilon_hours``, ``delta_hours``, ``annual_rate``,
-    ``hours_per_year``.  Separators may be whitespace, ``=`` or ``:``;
-    ``#`` starts a comment.  Missing keys keep their defaults.
+    Every way reading can fail is a :class:`ParseError` naming the file:
+    a missing file, a directory or any other ``OSError``, and bytes that
+    are not UTF-8, whose line (counted by ``\\n``) the error names too.
     """
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    path = Path(path)
+    try:
+        raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: byte {raw[exc.start]:#04x} is not UTF-8 text") from None
+
+
+def _read_pairs(path):
+    """``(where, key, value)`` for each entry of a key/value file, where
+    ``where`` is ``"path:line"``.
+
+    The one key/value grammar of the package's input files: ``#`` starts a
+    comment, blank lines are skipped, and whitespace, ``=`` or ``:``
+    separate the two fields of every other line.
+    """
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        parts = raw.split("#", 1)[0].replace("=", " ").replace(":", " ").split()
+        if not parts:
             continue
-        for sep in ("=", ":"):
-            line = line.replace(sep, " ")
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'key value', got {raw!r}")
-        key, value = parts
+        yield f"{path}:{lineno}", *parts
+
+
+def load_conventions(path) -> MarketConventions:
+    """Read conventions from a key/value file (see :func:`_read_pairs`).
+
+    Recognised keys: ``epsilon_hours``, ``delta_hours``, ``annual_rate``,
+    ``hours_per_year``.  Missing keys keep their defaults.
+    """
+    values: dict[str, float] = {}
+    for where, key, value in _read_pairs(path):
         if key not in _CONVENTION_KEYS:
-            raise ParseError(f"{path}:{lineno}: unknown conventions key {key!r}")
+            raise ParseError(f"{where}: unknown conventions key {key!r}")
         try:
             values[_CONVENTION_KEYS[key]] = float(value)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {value!r} is not a number") from exc
+            raise ParseError(f"{where}: {value!r} is not a number") from exc
     return MarketConventions(**values)

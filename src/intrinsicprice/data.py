@@ -4,21 +4,24 @@ The file format is one header row and comma-separated columns
 ``timestamp, load, day_ahead, intraday``: ISO-8601 hourly timestamps with
 no gaps or duplicates, decimal points, and empty fields for missing
 prices.  Missing load is an error; missing prices merely shrink the
-calibration window.
+calibration window.  The row loop :func:`_check_rows` is the
+specification of a data row: :func:`load_series` parses blocks of rows
+column by column and hands every block that does not parse cleanly to
+that loop, so an error names the first bad row with the loop's message.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import MarketSeries, model_spot_prices
-from .conventions import MarketConventions
+from .conventions import MarketConventions, _read_text
 from .errors import DomainError, ParseError
 from .measure import p_seasonality_from_q
 from .model import ModelQ, SupplyParams
@@ -26,139 +29,114 @@ from .ou import OuParams, _sample_path
 from .seasonality import Calendar, SeasonalityModel, _month_keys, evaluate
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    timestamp: str = "timestamp"
-    load: str = "load"
-    day_ahead: str = "day_ahead"
-    intraday: str = "intraday"
-
-
-# rows parsed or formatted at a time: whole columns are fast, a whole file in
-# memory at once is not
+# rows parsed or formatted at a time: whole columns are fast, a whole file of
+# parsed rows in memory at once is not
 _BLOCK_ROWS = 4096
+_COLUMNS = ("timestamp", "load", "day_ahead", "intraday")
 _ONE_HOUR = _dt.timedelta(hours=1)
 _NAN = float("nan")
 
 
-def _first_failure(parse, texts):
-    """``(values, k)``: ``parse`` over ``texts`` up to the first one that
-    raises ``ValueError``, at index ``k`` (``len(texts)`` when none does)."""
-    try:
-        return [parse(t) for t in texts], len(texts)
-    except ValueError:
-        pass
-    values = []
-    for t in texts:
-        try:
-            values.append(parse(t))
-        except ValueError:
-            break
-    return values, len(values)
+def _check_rows(rows, cols, header, prev, path):
+    """The CSV rules, one row at a time: the specification of a data row.
 
-
-def _first(flags) -> int:
-    """Index of the first true flag, or the length when none is."""
-    return next((k for k, bad in enumerate(flags) if bad), len(flags))
-
-
-def _parse_floats(fields) -> tuple[list[float], int]:
-    """:func:`_first_failure` of ``float`` over the stripped fields, with NaN
-    for an empty one."""
-    texts = [f.strip() for f in fields]
-    try:   # the same parse as below, inlined: a call per field costs more
-        return [float(t) if t else _NAN for t in texts], len(texts)
-    except ValueError:
-        return _first_failure(lambda t: float(t) if t else _NAN, texts)
-
-
-def _parse_block(rows, cols, header, prev, path, schema):
-    """Parse one block of ``(lineno, row)`` pairs column by column.
-
-    Returns the block's timestamps and its load, day-ahead and intraday
-    arrays.  ``prev`` is the last timestamp of the previous block, or
-    ``None``.  The error raised is the one a row-by-row parse meets first:
-    each check runs on the rows before the earliest failure found so far,
-    in the order one row is checked.
+    ``rows`` holds ``(lineno, fields)`` pairs, ``cols`` the field index of
+    each of :data:`_COLUMNS` and ``prev`` the timestamp of the row before
+    them, or ``None``.  Raises the error of the first row that breaks a
+    rule; a row is checked for its width, its timestamp, the step from the
+    row before, then load, day-ahead and intraday in turn.  Returns what
+    :func:`_parse_columns` returns for rows that keep every rule.
     """
-    limit, error = len(rows), None
+    stamps, columns = [], ([], [], [])
+    for lineno, row in rows:
+        where = f"{path}:{lineno}"
+        if len(row) <= max(cols):
+            raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        text = row[cols[0]]
+        try:
+            ts = _dt.datetime.fromisoformat(text.strip())
+        except ValueError:
+            raise ParseError(f"{where}: bad timestamp {text!r}") from None
+        if ts.minute or ts.second or ts.microsecond:
+            raise ParseError(f"{where}: timestamps must be on the hour")
+        if prev is not None:
+            try:
+                gap = (ts - prev).total_seconds() / 3600.0
+            except TypeError:
+                raise ParseError(f"{where}: timestamps with and without a UTC offset "
+                                 "are mixed") from None
+            if gap == 0:
+                raise ParseError(f"{where}: duplicated timestamp {ts.isoformat()}")
+            if gap < 0:
+                raise ParseError(f"{where}: timestamps not increasing")
+            if gap != 1:
+                raise ParseError(f"{where}: {gap:g} hour jump in the load series "
+                                 "(gaps in load are not allowed)")
+        stamps.append(prev := ts)
+        for name, col, values in zip(_COLUMNS[1:], cols[1:], columns):
+            text = row[col].strip()
+            try:
+                values.append(float(text) if text else _NAN)
+            except ValueError:
+                raise ParseError(f"{where}: column {name!r}: {row[col]!r} is not a number") \
+                    from None
+            if name == "load" and not np.isfinite(values[-1]):
+                raise ParseError(f"{where}: missing load value")
+    return stamps, *map(np.array, columns)
 
-    def fail(k, message):
-        nonlocal limit, error
-        limit, error = k, f"{path}:{rows[k][0]}: {message}"
 
-    width = max(cols.values()) + 1
-    k = _first([len(row) < width for _, row in rows])
-    if k < limit:
-        fail(k, f"expected {len(header)} fields, got {len(rows[k][1])}")
-    raw = [row[cols["timestamp"]] for _, row in rows[:limit]]
-    stamps, k = _first_failure(_dt.datetime.fromisoformat, [t.strip() for t in raw])
-    if k < limit:
-        fail(k, f"bad timestamp {raw[k]!r}")
-    k = _first([ts.minute or ts.second or ts.microsecond for ts in stamps[:limit]])
-    if k < limit:
-        fail(k, "timestamps must be on the hour")
-    chain = stamps[:limit] if prev is None else [prev] + stamps[:limit]
-    steps = [b - a for a, b in zip(chain, chain[1:])]
-    j = _first([step != _ONE_HOUR for step in steps])
-    if j < len(steps):
-        k = j + (prev is None)   # the row that ends step j
-        gap = steps[j].total_seconds() / 3600.0
-        if gap == 0:
-            fail(k, f"duplicated timestamp {stamps[k].isoformat()}")
-        elif gap < 0:
-            fail(k, "timestamps not increasing")
-        else:
-            fail(k, f"{gap:g} hour jump in the load series (gaps in load are not allowed)")
-    columns = []
-    for name, column in (("load", schema.load), ("day_ahead", schema.day_ahead),
-                         ("intraday", schema.intraday)):
-        raw = [row[cols[name]] for _, row in rows[:limit]]
-        values, k = _parse_floats(raw)
-        if k < limit:
-            fail(k, f"column {column!r}: {raw[k]!r} is not a number")
-        values = np.array(values[:limit], dtype=float)
-        if name == "load":
-            missing = np.flatnonzero(~np.isfinite(values))
-            if missing.size:
-                fail(int(missing[0]), "missing load value")
-        columns.append(values)
-    if error is not None:
-        raise ParseError(error)
+def _parse_columns(rows, cols, prev):
+    """The block's timestamps and load, day-ahead and intraday arrays, parsed
+    column by column, or ``None`` when some row breaks a rule of
+    :func:`_check_rows`."""
+    try:
+        stamps = [_dt.datetime.fromisoformat(row[cols[0]].strip()) for _, row in rows]
+        columns = [np.array([float(t) if (t := row[col].strip()) else _NAN for _, row in rows])
+                   for col in cols[1:]]
+        chain = stamps if prev is None else [prev, *stamps]
+        hourly = all(b - a == _ONE_HOUR for a, b in zip(chain, chain[1:]))
+    except (IndexError, TypeError, ValueError):
+        return None
+    if (not hourly or any(ts.minute or ts.second or ts.microsecond for ts in stamps)
+            or not np.isfinite(columns[0]).all()):
+        return None
     return stamps, *columns
 
 
-def load_series(path, schema: CsvSchema = CsvSchema()) -> MarketSeries:
-    """Parse and validate a market data file into a :class:`MarketSeries`."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file, header row required") from None
+def load_series(path) -> MarketSeries:
+    """Parse and validate a market data file into a :class:`MarketSeries`.
+
+    Each block of rows is parsed column by column; a block that does not
+    parse cleanly goes through :func:`_check_rows`, which names the first
+    bad row.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}:1: empty file, header row required")
         header = [h.strip() for h in header]
-        fields = ("timestamp", "load", "day_ahead", "intraday")
-        missing = [getattr(schema, f) for f in fields if getattr(schema, f) not in header]
+        missing = [name for name in _COLUMNS if name not in header]
         if missing:
             raise ParseError(f"{path}:1: header must contain column "
                              f"{', '.join(map(repr, missing))}")
-        cols = {f: header.index(getattr(schema, f)) for f in fields}
+        cols = [header.index(name) for name in _COLUMNS]
 
-        numbered = enumerate(reader, start=2)
+        numbered = ((reader.line_num, row) for row in reader)   # the line a row ends on
         first = last = None
         blocks = []
         while block := list(itertools.islice(numbered, _BLOCK_ROWS)):
             rows = [(n, row) for n, row in block if "".join(row).strip()]
             if not rows:
                 continue
-            stamps, *columns = _parse_block(rows, cols, header, last, path, schema)
+            stamps, *columns = (_parse_columns(rows, cols, last)
+                                or _check_rows(rows, cols, header, last, path))
             if first is None:
                 first = stamps[0]
             last = stamps[-1]
             blocks.append(columns)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
     n_rows = sum(len(load) for load, _, _ in blocks)
     if n_rows < 2:
@@ -188,11 +166,10 @@ def _cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-def write_series(series: MarketSeries, path, schema: CsvSchema = CsvSchema()):
-    """Write a series in the CSV schema; floats use shortest round-trip form."""
+def write_series(series: MarketSeries, path):
+    """Write a series in the CSV layout; floats use shortest round-trip form."""
     with Path(path).open("w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            [schema.timestamp, schema.load, schema.day_ahead, schema.intraday])
+        fh.write(",".join(_COLUMNS) + "\n")
         for start in range(0, len(series), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             # no cell holds a separator, a quote or a line break, so none needs quoting

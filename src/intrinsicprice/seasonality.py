@@ -13,11 +13,10 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .conventions import HOURS_PER_YEAR, MarketConventions
+from .conventions import HOURS_PER_YEAR, MarketConventions, _read_pairs
 from .errors import DomainError, EstimationError, ParseError
 
 _TWO_PI = 2.0 * np.pi
@@ -250,22 +249,17 @@ _CALENDAR_TAGS = {"holiday": "holidays", "partial": "partial_holidays", "bridge"
 
 
 def load_calendar(path) -> Calendar:
-    """Read a calendar file: one ISO-8601 date per line followed by a tag
-    in {holiday, partial, bridge}; ``#`` starts a comment."""
+    """Read a calendar file in the key/value grammar of
+    :func:`~intrinsicprice.conventions._read_pairs`: an ISO-8601 date per
+    line followed by a tag in {holiday, partial, bridge}."""
     sets: dict[str, set] = {name: set() for name in _CALENDAR_TAGS.values()}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[1] not in _CALENDAR_TAGS:
-            raise ParseError(f"{path}:{lineno}: expected '<ISO date> holiday|partial|bridge', "
-                             f"got {raw!r}")
+    for where, text, tag in _read_pairs(path):
+        if tag not in _CALENDAR_TAGS:
+            raise ParseError(f"{where}: expected '<ISO date> holiday|partial|bridge', "
+                             f"got tag {tag!r}")
         try:
-            date = _dt.date.fromisoformat(parts[0])
+            date = _dt.date.fromisoformat(text)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid date {parts[0]!r}") from exc
-        sets[_CALENDAR_TAGS[parts[1]]].add(date)
-    return Calendar(holidays=frozenset(sets["holidays"]),
-                    partial_holidays=frozenset(sets["partial_holidays"]),
-                    bridge_days=frozenset(sets["bridge_days"]))
+            raise ParseError(f"{where}: invalid date {text!r}") from exc
+        sets[_CALENDAR_TAGS[tag]].add(date)
+    return Calendar(**{name: frozenset(dates) for name, dates in sets.items()})

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -38,6 +40,27 @@ class TestParamsRoundTrip:
     def test_malformed_params_rejected(self):
         with pytest.raises(ip.ParseError, match="malformed"):
             cli.model_from_params({"epoch": "2015-01-01"})
+
+    @pytest.mark.parametrize("field, value", [("calendar", []), ("supply", [1.0])])
+    def test_malformed_params_shape_rejected(self, ref_model, ref_theta, field, value):
+        blob = {**cli.model_to_params(ref_model, ref_theta), field: value}
+        with pytest.raises(ip.ParseError, match="malformed"):
+            cli.model_from_params(blob)
+
+    def test_calendar_round_trip_with_every_tag(self, tmp_path, ref_model, ref_theta):
+        path = tmp_path / "cal.txt"
+        path.write_text("2015-12-25 holiday\n2015-12-24 partial\n2015-12-28 bridge\n")
+        cal = ip.load_calendar(path)
+        model = ip.ModelQ(
+            ou=ref_model.ou, supply=ref_model.supply, conv=ref_model.conv,
+            load_seasonality=dataclasses.replace(ref_model.load_seasonality, calendar=cal),
+            price_seasonality=dataclasses.replace(ref_model.price_seasonality, calendar=cal))
+        blob = cli.model_to_params(model, ref_theta)
+        assert json.dumps(blob["calendar"]) == (
+            '{"holiday": ["2015-12-25"], "partial": ["2015-12-24"], "bridge": ["2015-12-28"]}')
+        back, _ = cli.model_from_params(json.loads(json.dumps(blob)))
+        assert back.load_seasonality.calendar == cal
+        assert back.price_seasonality.calendar == cal
 
 
 class TestSimulate:
@@ -220,6 +243,55 @@ class TestUsageErrors:
         except SystemExit as exc:   # argparse rejects the flag value
             code = exc.code
         assert code == 2
+
+
+class TestBadInputFiles:
+    """Every file flag turns a missing path, a directory or bytes that are not
+    UTF-8, and the params flag invalid or too deeply nested JSON, into exit
+    code 2 and one ``error:`` line naming the file; a traceback would be an
+    exception escaping ``main``, which fails the test instead."""
+
+    @staticmethod
+    def make(kind, tmp_path):
+        path = tmp_path / f"bad-{kind}"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"level 1.0\n\xff\xfe 2\n")
+        elif kind == "not-json":
+            path.write_text('{"epoch": "2015-01-01",\n')
+        elif kind == "too-deep":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        return path
+
+    @pytest.mark.parametrize("flag, kind", [
+        *itertools.product(["--data", "--params", "--calendar", "--conventions", "--gamma3"],
+                           ["missing", "directory", "not-utf8"]),
+        ("--params", "not-json"),
+        ("--params", "too-deep"),
+    ])
+    def test_bad_file_exits_two(self, flag, kind, tmp_path, params_file, data_file, capsys):
+        bad = self.make(kind, tmp_path)
+        out = str(tmp_path / "out.txt")
+        argv = {
+            "--data": ["fit-ou", "--data", str(bad), "--out", out],
+            "--params": ["price", "forward", "--params", str(bad), "--t", "0", "--tau", "24"],
+            "--calendar": ["fit-seasonality", "--data", str(data_file), "--calendar", str(bad),
+                           "--out", out],
+            "--conventions": ["calibrate", "--data", str(data_file), "--conventions", str(bad),
+                              "--out", out],
+            "--gamma3": ["calibrate", "--data", str(data_file), "--gamma3", str(bad),
+                         "--out", out],
+        }[flag]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+
+    def test_output_path_that_is_a_directory(self, tmp_path, params_file, capsys):
+        code = cli.main(["risk-premium", "--params", str(params_file), "--tau", "2160",
+                         "--t-start", "1000", "--t-end", "2160", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_quote_commands_leave_scipy_unloaded(tmp_path, params_file):

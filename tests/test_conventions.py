@@ -1,11 +1,16 @@
+import datetime as dt
+import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import intrinsicprice as ip
-from intrinsicprice import DomainError, ParseError
+from intrinsicprice import DomainError, ParseError, cli
+from intrinsicprice.conventions import _read_text
 
 
 class TestDiscount:
@@ -97,3 +102,64 @@ class TestConventionsFile:
         path.write_text("annual_rate x\n")
         with pytest.raises(ParseError, match="not a number"):
             ip.load_conventions(path)
+
+
+class TestKeyValueGrammar:
+    """Conventions, calendar and seasonality-report files share one grammar:
+    ``#`` comments anywhere, blank lines, and whitespace, ``=`` or ``:``
+    between key and value, in UTF-8 with an optional BOM and any line end."""
+
+    @staticmethod
+    def plain_and_dressed(lines):
+        plain = "\n".join(f"{k} {v}" for k, v in lines) + "\n"
+        separators = itertools.cycle(["=", ": ", "\t", " = "])
+        dressed = "\r\n".join(["# header comment", ""] + [
+            f"  {k}{sep}{v}  # note" for (k, v), sep in zip(lines, separators)])
+        return plain.encode(), b"\xef\xbb\xbf" + dressed.encode() + b"\r\n"
+
+    def read_both(self, tmp_path, lines, read):
+        plain, dressed = self.plain_and_dressed(lines)
+        (tmp_path / "plain.txt").write_bytes(plain)
+        (tmp_path / "dressed.txt").write_bytes(dressed)
+        return read(tmp_path / "plain.txt"), read(tmp_path / "dressed.txt")
+
+    def test_conventions(self, tmp_path):
+        a, b = self.read_both(tmp_path, [("delta_hours", "12"), ("annual_rate", "0.002")],
+                              ip.load_conventions)
+        assert a == b == ip.MarketConventions(delta=12.0, annual_rate=0.002)
+
+    def test_calendar(self, tmp_path):
+        a, b = self.read_both(tmp_path, [("2017-12-25", "holiday"), ("2017-10-31", "partial"),
+                                         ("2017-05-26", "bridge")], ip.load_calendar)
+        assert a == b and a.bridge_days == frozenset({dt.date(2017, 5, 26)})
+
+    def test_seasonality_report(self, tmp_path, ref_model):
+        pairs = cli._seasonality_report_pairs(ref_model.price_seasonality)
+        a, b = self.read_both(tmp_path, [(k, v if isinstance(v, str) else repr(v))
+                                         for k, v in pairs],
+                              lambda path: cli.read_seasonality_report(path, ip.Calendar()))
+        assert np.array_equal(a.coefficients(), ref_model.price_seasonality.coefficients())
+        assert np.array_equal(b.coefficients(), a.coefficients()) and b.epoch == a.epoch
+
+    @pytest.mark.parametrize("read", [ip.load_conventions, ip.load_calendar,
+                                      lambda path: cli.read_seasonality_report(path, None)],
+                             ids=["conventions", "calendar", "report"])
+    def test_three_fields_name_the_line(self, tmp_path, read):
+        path = tmp_path / "kv.txt"
+        path.write_text("# one\n\na b c\n")
+        with pytest.raises(ParseError, match=r"kv\.txt:3: expected 'key value'"):
+            read(path)
+
+
+class TestReadText:
+    def test_bad_byte_names_its_line_after_a_bom_and_crlf(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"\xef\xbb\xbfa 1\r\nb 2\r\nc \xff\r\n")
+        with pytest.raises(ParseError, match=r"t\.txt:3: byte 0xff is not UTF-8 text"):
+            _read_text(path)
+
+    def test_missing_file_and_directory(self, tmp_path):
+        with pytest.raises(ParseError, match="no such file"):
+            _read_text(tmp_path / "absent.txt")
+        with pytest.raises(ParseError, match=rf"{re.escape(str(tmp_path))}: cannot read"):
+            _read_text(tmp_path)

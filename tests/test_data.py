@@ -7,10 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, ParseError
-from intrinsicprice.data import _BLOCK_ROWS
+from intrinsicprice.data import _BLOCK_ROWS, _check_rows, _parse_columns
 
 
 def write_csv(path, rows, header="timestamp,load,day_ahead,intraday"):
@@ -119,15 +121,6 @@ class TestLoadSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="no such file"):
             ip.load_series(tmp_path / "absent.csv")
-
-    def test_custom_schema(self, tmp_path):
-        path = write_csv(tmp_path / "d.csv", [
-            "2015-06-28 00:00:00,55.1,30.2,31.3",
-            "2015-06-28 01:00:00,54.0,29.9,30.8",
-        ], header="timestamp,system_load,da,id3")
-        schema = ip.CsvSchema(load="system_load", day_ahead="da", intraday="id3")
-        series = ip.load_series(path, schema)
-        assert series.load[0] == 55.1
 
 
 class TestRoundTrip:
@@ -252,6 +245,107 @@ def test_trailing_separator_loads_the_same_series(tmp_path):
     assert trailing.epoch == plain.epoch
     for name in ("taus", "load", "day_ahead", "intraday"):
         assert np.array_equal(getattr(trailing, name), getattr(plain, name), equal_nan=True)
+
+
+class TestBadBytesAndStamps:
+    """Bytes, fields and stamps the row rules alone do not cover are a
+    ParseError naming the file and the physical line."""
+
+    def test_oversized_field(self, tmp_path):
+        rows = TestColumnwiseBlocks.hourly_rows(6)
+        rows[3] = rows[3].rsplit(",", 1)[0] + "," + "9" * 200_000
+        with pytest.raises(ParseError, match=r"d\.csv:5: field larger than field limit"):
+            ip.load_series(write_csv(tmp_path / "d.csv", rows))
+
+    def test_byte_that_is_not_utf8(self, tmp_path):
+        rows = [row.encode() for row in TestColumnwiseBlocks.hourly_rows(6)]
+        rows[2] = rows[2].replace(b",", b",\xff", 1)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\n".join([b"timestamp,load,day_ahead,intraday", *rows, b""]))
+        with pytest.raises(ParseError, match=r"d\.csv:4: byte 0xff is not UTF-8"):
+            ip.load_series(path)
+
+    def test_offset_stamp_after_naive_ones(self, tmp_path):
+        rows = TestColumnwiseBlocks.hourly_rows(6)
+        ts, rest = rows[4].split(",", 1)
+        rows[4] = f"{ts}+01:00,{rest}"
+        with pytest.raises(ParseError, match=r"d\.csv:6: timestamps with and without a UTC "
+                                             r"offset are mixed"):
+            ip.load_series(write_csv(tmp_path / "d.csv", rows))
+
+    def test_line_after_a_quoted_line_break(self, tmp_path):
+        # a quoted field may hold a line break; the error names the physical line
+        rows = TestColumnwiseBlocks.hourly_rows(4)
+        rows[0] = rows[0].rsplit(",", 1)[0] + ',"31\n"'
+        rows[3] = "2015-03-01 05:00:00,50,30,31"
+        with pytest.raises(ParseError, match=r"d\.csv:6: 3 hour jump"):
+            ip.load_series(write_csv(tmp_path / "d.csv", rows))
+
+    def test_stamps_with_one_offset_load(self, tmp_path):
+        # the offset is dropped: hours count from the first stamp's own date
+        path = write_csv(tmp_path / "d.csv", [
+            "2015-06-28 22:00:00+01:00,55.1,30.2,31.3",
+            "2015-06-28 23:00:00+01:00,54.0,,30.8",
+            "2015-06-29T00:00:00+01:00,53.5,29.1,",
+        ])
+        series = ip.load_series(path)
+        assert series.epoch == dt.date(2015, 6, 28)
+        assert list(series.taus) == [22.0, 23.0, 24.0]
+        assert list(series.load) == [55.1, 54.0, 53.5]
+        assert np.array_equal(series.day_ahead, [30.2, np.nan, 29.1], equal_nan=True)
+        assert np.array_equal(series.intraday, [31.3, 30.8, np.nan], equal_nan=True)
+
+
+# one defect in an otherwise clean row, and the row loop's message for it
+_DEFECTS = ("short", "stamp", "off-hour", "gap", "duplicate", "number", "missing-load")
+_HANDOFF_ROWS = TestColumnwiseBlocks.hourly_rows(_BLOCK_ROWS + 50)
+
+
+@given(defect=st.sampled_from(_DEFECTS), r=st.integers(1, len(_HANDOFF_ROWS) - 1),
+       column=st.sampled_from(["load", "day_ahead", "intraday"]))
+def test_row_loop_names_every_defect_after_the_column_pass(tmp_path_factory, defect, r,
+                                                           column):
+    rows = list(_HANDOFF_ROWS)
+    ts, *cells = rows[r].split(",")
+    stamp = dt.datetime.fromisoformat(ts)
+    if defect == "short":
+        rows[r], message = f"{ts},{cells[0]}", "expected 4 fields, got 2"
+    elif defect == "stamp":
+        rows[r], message = ",".join(["2015-03-01 25:00:00", *cells]), "bad timestamp"
+    elif defect == "off-hour":
+        later = stamp + dt.timedelta(minutes=30)
+        rows[r], message = ",".join([str(later), *cells]), "timestamps must be on the hour"
+    elif defect == "gap":
+        for j in range(r, len(rows)):
+            ts_j, tail = rows[j].split(",", 1)
+            rows[j] = f"{dt.datetime.fromisoformat(ts_j) + dt.timedelta(hours=1)},{tail}"
+        message = "2 hour jump in the load series"
+    elif defect == "duplicate":
+        rows[r] = ",".join([rows[r - 1].split(",", 1)[0], *cells])
+        message = "duplicated timestamp"
+    elif defect == "number":
+        cells[["load", "day_ahead", "intraday"].index(column)] = "1.2.3"
+        rows[r], message = ",".join([ts, *cells]), f"column {column!r}: '1.2.3' is not a number"
+    else:
+        rows[r], message = ",".join([ts, "", *cells[1:]]), "missing load value"
+    path = write_csv(tmp_path_factory.getbasetemp() / "handoff.csv", rows)
+    with pytest.raises(ParseError, match=rf"handoff\.csv:{r + 2}: {re.escape(message)}"):
+        ip.load_series(path)
+
+
+def test_row_loop_and_column_pass_parse_clean_blocks_alike():
+    # the row loop is the reference the column-wise pass must agree with
+    rows = [(n + 2, row.split(",")) for n, row in enumerate(TestColumnwiseBlocks.hourly_rows(40))]
+    rows[7][1][2] = rows[9][1][3] = ""
+    rows[11][1][1] = " 1e-07 "
+    start, header = dt.datetime(2015, 3, 1), ["timestamp", "load", "day_ahead", "intraday"]
+    for block, prev in ((rows, None), (rows, start - dt.timedelta(hours=1)),
+                        (rows[20:], start + dt.timedelta(hours=19))):
+        columnwise = _parse_columns(block, [0, 1, 2, 3], prev)
+        by_row = _check_rows(block, [0, 1, 2, 3], header, prev, "d.csv")
+        assert columnwise is not None and columnwise[0] == by_row[0]
+        for a, b in zip(columnwise[1:], by_row[1:]):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 class TestGenerateSynthetic:

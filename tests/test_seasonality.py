@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -279,3 +280,17 @@ class TestWeekdayPrecedence:
                                     dow_weights=weights, hod_weights=np.zeros(24),
                                     calendar=cal, epoch=EPOCH)
         assert np.array_equal(ip.evaluate(shape, 24.0 * days + 13.0), weights[classes])
+
+
+def test_calendar_dates_before_the_epoch_load_and_change_nothing(tmp_path):
+    # the day index of a date before the epoch is negative, so no tau >= 0 hits it
+    path = tmp_path / "cal.txt"
+    path.write_text(f"{EPOCH - dt.timedelta(days=1)} holiday\n"
+                    f"{EPOCH - dt.timedelta(days=6)} partial\n"
+                    f"{EPOCH - dt.timedelta(days=400)} bridge\n")
+    cal = ip.load_calendar(path)
+    assert EPOCH - dt.timedelta(days=1) in cal.holidays
+    plain = random_model(np.random.default_rng(5), cal=ip.Calendar())
+    early = dataclasses.replace(plain, calendar=cal)
+    taus = np.arange(60 * 24, dtype=float)
+    assert np.array_equal(ip.evaluate(early, taus), ip.evaluate(plain, taus))
