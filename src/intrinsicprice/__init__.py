@@ -13,13 +13,12 @@ from .calibration import (CalibrationDiagnostics, CalibrationResult, MarketSerie
                           fit_load_seasonality, fit_ou, fit_price_seasonality,
                           implied_theta_monthly, initial_supply_guess,
                           model_spot_prices, numerical_gradient, pricing_objective)
-from .conventions import (DeliverySet, DeliveryTime, MarketConventions, discount,
-                          load_conventions)
+from .conventions import DeliverySet, MarketConventions, discount, load_conventions
 from .data import (generate_synthetic, load_series, price_coverage, reference_model,
                    write_series)
 from .errors import DomainError, EstimationError, NumericError, ParseError
 from .measure import (GirsanovParam, p_seasonality_from_q, q_seasonality_from_p,
-                      radon_nikodym_path, real_world_seasonality, risk_premium,
+                      radon_nikodym_path, risk_premium,
                       supply_leg_real_world_expectation, to_risk_neutral_state)
 from .model import (ModelQ, SupplyParams, day_ahead_price, forward_price,
                     futures_price, intraday_price, intrinsic_price,

@@ -32,6 +32,8 @@ from .seasonality import (Calendar, SeasonalityModel, _month_keys, evaluate, fit
                           price_seasonality_target)
 
 _OVERFLOW_PENALTY = 1e12
+_BFGS_MAXITER = 500
+_MONTH_MIN_OBS = 48     # fewest aligned hours that give a month its own theta
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ class MarketSeries:
             raise DomainError("all series must have equal length")
         if taus.ndim != 1 or taus.size < 2:
             raise DomainError("need at least two hourly observations")
-        if np.any(np.diff(taus) != 1.0):
+        # one-hour steps up to rounding, so that a fractional offset stays hourly
+        if not np.all(np.abs(np.diff(taus) - 1.0) <= 1e-9):
             raise DomainError("timestamps must be strictly increasing and hourly")
         if taus[0] < 0:
             raise DomainError("series cannot start before its epoch")
@@ -149,7 +152,7 @@ def _quote_legs(ou: OuParams, supply: SupplyParams, theta: float, conv: MarketCo
     return g_q, quotes
 
 
-def model_spot_prices(ou: OuParams, supply: SupplyParams, theta: float,
+def model_spot_prices(ou: OuParams, supply: SupplyParams, theta,
                       conv: MarketConventions, tau, g_tilde_tau_e, gamma3_tau,
                       x_tilde_spot, x_tilde_fix):
     """Model intraday and day-ahead prices for delivery hours ``tau``.
@@ -157,7 +160,8 @@ def model_spot_prices(ou: OuParams, supply: SupplyParams, theta: float,
     ``g_tilde_tau_e`` is the stage-1 seasonality at the ex-post times,
     ``x_tilde_spot`` / ``x_tilde_fix`` the deseasonalised load at the
     delivery hour and at the fixing one day earlier.  The pricing-measure
-    seasonality and states follow the first-order relations.
+    seasonality and states follow the first-order relations.  ``theta`` is
+    one value or one per delivery hour.
     """
     _, (intraday, day_ahead) = _quote_legs(ou, supply, theta, conv, tau, g_tilde_tau_e,
                                            gamma3_tau, x_tilde_spot, x_tilde_fix)
@@ -297,8 +301,8 @@ def _pack(supply: SupplyParams, theta: float) -> np.ndarray:
 
 def calibrate_supply_theta(series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,
                            gamma3: SeasonalityModel, conv: MarketConventions,
-                           init_supply: SupplyParams, init_theta: float = 0.0,
-                           max_iterations: int = 500) -> CalibrationResult:
+                           init_supply: SupplyParams,
+                           init_theta: float = 0.0) -> CalibrationResult:
     """Stage 3: quasi-Newton minimisation of the pricing objective.
 
     The sign constraints are built into a log / negative-log
@@ -317,7 +321,7 @@ def calibrate_supply_theta(series: MarketSeries, g_tilde: SeasonalityModel, ou: 
         return objective(supply, theta, gradient=True)
 
     result = minimize(f, _pack(init_supply, init_theta), method="BFGS", jac=True,
-                      options={"gtol": 1e-6, "maxiter": max_iterations})
+                      options={"gtol": 1e-6, "maxiter": _BFGS_MAXITER})
 
     supply, theta = _unpack(result.x)
     grad_norm = float(np.linalg.norm(result.jac))
@@ -400,12 +404,11 @@ def calibrate(series: MarketSeries, cal: Calendar, conv: MarketConventions,
 
 def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,
                           gamma3: SeasonalityModel, supply: SupplyParams,
-                          conv: MarketConventions,
-                          min_hours: int = 48) -> list[tuple[_dt.date, float]]:
+                          conv: MarketConventions) -> list[tuple[_dt.date, float]]:
     """Per calendar month, the ``theta`` minimising the pricing objective
     with everything else frozen (bounded search on [-1, 1], tol 1e-6).
 
-    Months with fewer than ``min_hours`` aligned delivery hours are
+    Months with fewer than 48 aligned delivery hours are
     skipped with a warning.  Returns (first-of-month, theta) pairs in
     chronological order.
     """
@@ -420,7 +423,7 @@ def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: O
         except EstimationError:
             warnings.warn(f"month {key}: no aligned observations; skipped")
             continue
-        if objective.n_obs < min_hours:
+        if objective.n_obs < _MONTH_MIN_OBS:
             warnings.warn(f"month {key}: only {objective.n_obs} aligned hours; skipped")
             continue
         res = minimize_scalar(

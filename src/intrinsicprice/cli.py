@@ -130,6 +130,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """Argparse type for ``--seed``: a non-negative integer in decimal digits."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_calendar_arg(args) -> Calendar:
     return load_calendar(args.calendar) if getattr(args, "calendar", None) else Calendar()
 
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic market data CSV")
     p.add_argument("--params", required=True, help="model params JSON")
     p.add_argument("--span", type=int, required=True, help="hours to simulate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise", type=_finite_float, default=0.5, help="intraday noise sd")
     p.add_argument("--noise-day-ahead", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
@@ -372,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--nested-paths", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mutation", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_verify)
 

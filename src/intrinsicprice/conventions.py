@@ -1,4 +1,4 @@
-"""Market conventions, delivery-time containers, and discounting.
+"""Market conventions, the delivery-set container, and discounting.
 
 Time is a continuous number of hours since the epoch of the data set.
 Contracts are quoted for delivery periods ``[tau, tau + epsilon)``; the
@@ -46,42 +46,29 @@ class MarketConventions:
 
 
 @dataclass(frozen=True)
-class DeliveryTime:
-    """A single delivery hour, identified by its start ``tau`` in hours since epoch."""
-
-    tau: float
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise DomainError(f"delivery time must be non-negative, got {self.tau}")
-
-    def ex_post(self, conv: MarketConventions) -> float:
-        """Time at which the delivered quantity becomes known."""
-        return self.tau + conv.epsilon
-
-
-@dataclass(frozen=True)
 class DeliverySet:
-    """Strictly increasing delivery times backing one futures contract."""
+    """Strictly increasing delivery hours backing one futures contract, each
+    the start ``tau`` of a delivery period in hours since epoch."""
 
-    taus: tuple[DeliveryTime, ...]
+    taus: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.taus) < 1:
             raise DomainError("a delivery set needs at least one delivery time")
-        values = [d.tau for d in self.taus]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise DomainError(f"delivery times must be strictly increasing, got {values}")
+        if not all(0.0 <= tau < math.inf for tau in self.taus):
+            raise DomainError(f"delivery times must be finite and non-negative, got {self.taus}")
+        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
+            raise DomainError(f"delivery times must be strictly increasing, got {list(self.taus)}")
 
     @classmethod
     def from_hours(cls, hours) -> "DeliverySet":
-        return cls(tuple(DeliveryTime(float(h)) for h in hours))
+        return cls(tuple(float(h) for h in hours))
 
     def __len__(self) -> int:
         return len(self.taus)
 
     def hours(self) -> list[float]:
-        return [d.tau for d in self.taus]
+        return list(self.taus)
 
 
 def discount(t1: float, t2: float, conv: MarketConventions) -> float:

@@ -230,26 +230,17 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     lag = int(conv.delta)
     g_tilde_tau_e = evaluate(g_tilde, taus + conv.epsilon)
     gamma3_tau = evaluate(model.price_seasonality, taus)
-    x_fix = np.full(n, np.nan)
+    x_fix = np.zeros(n)     # the first day has no fixing state; its day-ahead is dropped
     x_fix[lag:] = deviation[:-lag]
 
+    theta_row = theta
     if monthly_theta:
         months, month_of_row = np.unique(_month_keys(taus, epoch), return_inverse=True)
         theta_row = np.array([monthly_theta.get(k, theta) for k in months])[month_of_row]
-    else:
-        theta_row = np.full(n, theta)
 
-    intraday = np.empty(n)
-    day_ahead = np.empty(n)
-    for th in np.unique(theta_row):
-        rows = theta_row == th
-        ivals, svals = model_spot_prices(
-            model.ou, model.supply, float(th), conv, taus[rows], g_tilde_tau_e[rows],
-            gamma3_tau[rows], deviation[rows], np.nan_to_num(x_fix[rows]))
-        intraday[rows] = ivals
-        day_ahead[rows] = svals
-    day_ahead[:lag] = np.nan
-
+    intraday, day_ahead = model_spot_prices(
+        model.ou, model.supply, theta_row, conv, taus, g_tilde_tau_e, gamma3_tau,
+        deviation, x_fix)
     intraday += sd_intraday * rng.standard_normal(n)
     day_ahead += sd_day_ahead * rng.standard_normal(n)
     day_ahead[:lag] = np.nan
@@ -257,13 +248,12 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
                         day_ahead=day_ahead, intraday=intraday)
 
 
-def reference_model(epoch: _dt.date = _dt.date(2015, 1, 1),
-                    cal: Calendar | None = None,
-                    conv: MarketConventions | None = None) -> tuple[ModelQ, float]:
+def reference_model() -> tuple[ModelQ, float]:
     """A fully specified model with the reference parameter set used across
-    the demos and the verification suite; returns ``(model, theta)``."""
-    cal = cal or Calendar()
-    conv = conv or MarketConventions()
+    the demos and the verification suite, with epoch 2015-01-01, no
+    holidays and the default conventions; returns ``(model, theta)``."""
+    cal = Calendar()
+    epoch = _dt.date(2015, 1, 1)
     hod = np.zeros(24)
     hod[1:] = 2.5 * np.sin(np.pi * np.arange(1, 24) / 12.0) - 1.0
     dow = np.array([0.5, 0.0, -2.0, -3.5])
@@ -278,5 +268,5 @@ def reference_model(epoch: _dt.date = _dt.date(2015, 1, 1),
     model = ModelQ(ou=OuParams(lam=0.0298, sigma=1.4988, x0=-12.5776),
                    supply=SupplyParams(alpha1=0.1949, alpha2=-0.1796,
                                        beta1=43.8799, beta2=37.4548),
-                   load_seasonality=g, price_seasonality=gamma3, conv=conv)
+                   load_seasonality=g, price_seasonality=gamma3, conv=MarketConventions())
     return model, -0.0036

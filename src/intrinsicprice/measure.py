@@ -40,9 +40,6 @@ class GirsanovParam:
         if not np.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
 
-    def drift_rate(self, ou: OuParams) -> float:
-        return ou.lam * self.theta
-
 
 def _check_mode(mode: str):
     if mode not in _MODES:
@@ -60,11 +57,6 @@ def _add_drift_shift(value, ou: OuParams, theta: float, tau, mode: str):
     else:
         shift = ou.lam * ou.sigma * theta * tau
     return _maybe_scalar(value + shift, value, tau)
-
-
-def real_world_seasonality(g_value, ou: OuParams, theta: float, tau, mode: str = "first_order"):
-    """Real-world load seasonality value from the pricing-measure value at ``tau``."""
-    return _add_drift_shift(g_value, ou, theta, tau, mode)
 
 
 def to_risk_neutral_state(x_tilde, ou: OuParams, theta: float, tau,

@@ -32,6 +32,7 @@ from .ou import OuParams, _step_law, _walk, transition
 from .seasonality import evaluate
 
 _BATCH = 1 << 18
+_DENSITY_STEPS = 8     # grid intervals of the two density estimators
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,15 @@ class McConfig:
     n_paths: int = 1_000_000
     seed: int = 0
     time_step: float = 1e-3        # pathwise representation checks only
-    antithetic: bool = False
     mutation_drift: float = 0.0    # constant drift injected into simulated dynamics
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise DomainError(f"need at least 2 paths, got {self.n_paths}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         if not self.time_step > 0:
             raise DomainError(f"time step must be positive, got {self.time_step}")
-        if self.antithetic and self.n_paths % 2:
-            raise DomainError("antithetic sampling needs an even path count")
 
 
 @dataclass(frozen=True)
@@ -101,39 +101,19 @@ def all_passed(checks) -> bool:
 
 def _run_batches(cfg: McConfig, n_normals: int, values_fn) -> McEstimate:
     """Estimate the mean of ``values_fn(Z)`` over standard-normal draws
-    ``Z`` of shape (paths, n_normals).  Antithetic pairing averages each
-    mirrored pair before the reduction so the standard error stays honest."""
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    n_batches = -(-cfg.n_paths // _BATCH)
-    children = seed_seq.spawn(n_batches)
-
-    count = 0
+    ``Z`` of shape (paths, n_normals)."""
+    n = cfg.n_paths
     total = 0.0
     total_sq = 0.0
-    remaining = cfg.n_paths
-    for child in children:
-        m = min(_BATCH, remaining)
-        remaining -= m
-        rng = np.random.default_rng(child)
-        if cfg.antithetic:
-            half = rng.standard_normal((m // 2, n_normals))
-            z = np.concatenate([half, -half], axis=0)
-            values = np.asarray(values_fn(z), dtype=float)
-            units = 0.5 * (values[: m // 2] + values[m // 2:])
-        else:
-            z = rng.standard_normal((m, n_normals))
-            units = np.asarray(values_fn(z), dtype=float)
-        count += units.size
+    for k, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(-(-n // _BATCH))):
+        z = np.random.default_rng(child).standard_normal((min(_BATCH, n - k * _BATCH), n_normals))
+        units = np.asarray(values_fn(z), dtype=float)
         total += float(units.sum())
         total_sq += float(units @ units)
 
-    mean = total / count
-    if count > 1:
-        var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-        se = math.sqrt(var / count)
-    else:
-        se = 0.0
-    return McEstimate(mean=mean, std_error=se, n_paths=cfg.n_paths)
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n)
 
 
 def _scale(est: McEstimate, factor: float, offset: float = 0.0) -> McEstimate:
@@ -141,12 +121,19 @@ def _scale(est: McEstimate, factor: float, offset: float = 0.0) -> McEstimate:
                       std_error=abs(factor) * est.std_error, n_paths=est.n_paths)
 
 
+def _exact_walk(ou: OuParams, x, steps, z, drift: float) -> list:
+    """The states after each of the exact ``steps`` from ``x`` under the
+    constant ``drift``, the shock of step ``k`` being its transition sd times
+    column ``k`` of the standard normals ``z``."""
+    sds = _step_law(ou, steps)[2].tolist()
+    return _walk(ou, x, steps, (sd * z[:, k] for k, sd in enumerate(sds)), drift)
+
+
 def _run_step_batches(ou: OuParams, x: float, dt: float, cfg: McConfig, payoff) -> McEstimate:
     """Estimate the mean of ``payoff(X)`` for ``X`` one exact step ``dt`` on
     from the state ``x``, under the mutation drift of ``cfg``."""
-    sd = float(_step_law(ou, dt)[2])
     return _run_batches(cfg, 1, lambda z: payoff(
-        _walk(ou, x, [dt], [sd * z[:, 0]], cfg.mutation_drift)[0]))
+        _exact_walk(ou, x, [dt], z, cfg.mutation_drift)[0]))
 
 
 def _w_integral_law(ou: OuParams, h: float) -> tuple[float, float, float]:
@@ -200,15 +187,12 @@ def mc_futures(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
     taus = deliveries.hours()
     if t > taus[0] - conv.delta:
         raise DomainError("mc_futures requires t at or before the first fixing")
-    sample_times = [tau + conv.epsilon for tau in taus]
-    steps = np.diff([t] + sample_times)
-    sds = _step_law(model.ou, steps)[2].tolist()
+    steps = np.diff([t] + [tau + conv.epsilon for tau in taus])
     g_vals = [evaluate(model.load_seasonality, tau + conv.epsilon) for tau in taus]
     weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / len(taus)
 
     def values(z):
-        states = _walk(model.ou, x_t, steps, (sd * z[:, k] for k, sd in enumerate(sds)),
-                       cfg.mutation_drift)
+        states = _exact_walk(model.ou, x_t, steps, z, cfg.mutation_drift)
         payoff = np.zeros(z.shape[0])
         for k, x in enumerate(states):
             payoff += intrinsic_price(model, g_vals[k] + x, taus[k])
@@ -263,7 +247,7 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
                               lambda x: intraday_price(model, tau, x + tau_shift))
 
     # (b) density-weighted: pricing-measure sampling of (W increment, OU integral)
-    drift_rate = ou.lam * theta
+    density_drift = ou.lam * theta
     x_q = to_risk_neutral_state(x_tilde_t, ou, theta, t, mode="exact")
     sd_w, slope, resid_sd = _w_integral_law(ou, span)
 
@@ -271,7 +255,7 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
         dw = sd_w * z[:, 0]
         integral = slope * dw + resid_sd * z[:, 1]
         x_tau = _walk(ou, x_q, [span], [ou.sigma * integral], cfg.mutation_drift)[0]
-        density = np.exp(drift_rate * dw - 0.5 * drift_rate**2 * span)
+        density = np.exp(density_drift * dw - 0.5 * density_drift**2 * span)
         return density * intraday_price(model, tau, x_tau)
 
     weighted_cfg = replace(cfg, seed=cfg.seed + 1)
@@ -329,37 +313,39 @@ def mc_lognormal_forward(f0: float, var_integral: float, cfg: McConfig) -> McEst
 # density / measure-change checks
 # ---------------------------------------------------------------------------
 
-def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float, cfg: McConfig,
-                         n_steps: int = 8) -> OracleCheck:
+def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float,
+                         cfg: McConfig) -> OracleCheck:
     """The density process has unit expectation at the horizon."""
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    sqrt_h = math.sqrt(horizon / n_steps)
-    drift_rate = ou.lam * theta
+    grid = np.linspace(0.0, horizon, _DENSITY_STEPS + 1)
+    sqrt_h = math.sqrt(horizon / _DENSITY_STEPS)
+    density_drift = ou.lam * theta
 
     def values(z):
-        return _terminal_density(drift_rate, sqrt_h * z, grid)
+        return _terminal_density(density_drift, sqrt_h * z, grid)
 
-    return OracleCheck("density process unit mean", 1.0, _run_batches(cfg, n_steps, values))
+    return OracleCheck("density process unit mean", 1.0,
+                       _run_batches(cfg, _DENSITY_STEPS, values))
 
 
-def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float, cfg: McConfig,
-                        n_steps: int = 8) -> list[OracleCheck]:
+def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float,
+                        cfg: McConfig) -> list[OracleCheck]:
     """Weighting pricing-measure samples by the density must reproduce the
     real-world mean and variance of the centred deviation."""
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    h = horizon / n_steps
-    drift_rate = ou.lam * theta
+    grid = np.linspace(0.0, horizon, _DENSITY_STEPS + 1)
+    h = horizon / _DENSITY_STEPS
+    density_drift = ou.lam * theta
     sd_w, slope, resid_sd = _w_integral_law(ou, h)
 
     mean_p, var_p = transition(ou, ou.x0, horizon)
 
     def terminal(z):
-        dw = sd_w * z[:, :n_steps]
-        integral = slope * dw + resid_sd * z[:, n_steps:]
+        dw = sd_w * z[:, :_DENSITY_STEPS]
+        integral = slope * dw + resid_sd * z[:, _DENSITY_STEPS:]
         # centred deviation under P: the pricing-measure path with drift -lam sigma theta
-        shocks = (ou.sigma * integral[:, k] for k in range(n_steps))
-        x = _walk(ou, ou.x0, np.full(n_steps, h), shocks, -ou.lam * ou.sigma * theta)[-1]
-        nu = _terminal_density(drift_rate, dw, grid)
+        shocks = (ou.sigma * integral[:, k] for k in range(_DENSITY_STEPS))
+        x = _walk(ou, ou.x0, np.full(_DENSITY_STEPS, h), shocks,
+                  -ou.lam * ou.sigma * theta)[-1]
+        nu = _terminal_density(density_drift, dw, grid)
         return x, nu
 
     def values_mean(z):
@@ -370,8 +356,8 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float, cfg: McConfi
         x, nu = terminal(z)
         return nu * x * x
 
-    first = _run_batches(cfg, 2 * n_steps, values_mean)
-    second = _run_batches(replace(cfg, seed=cfg.seed + 1), 2 * n_steps, values_second)
+    first = _run_batches(cfg, 2 * _DENSITY_STEPS, values_mean)
+    second = _run_batches(replace(cfg, seed=cfg.seed + 1), 2 * _DENSITY_STEPS, values_second)
     return [
         OracleCheck("density-weighted mean of real-world deviation", mean_p, first),
         OracleCheck("density-weighted second moment of real-world deviation",
@@ -383,6 +369,23 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float, cfg: McConfi
 # martingale checks (nested simulation)
 # ---------------------------------------------------------------------------
 
+def _checkpoints(t_list) -> list[float]:
+    """The martingale checkpoints as floats, which must strictly increase."""
+    t_list = [float(t) for t in t_list]
+    if any(b <= a for a, b in zip(t_list, t_list[1:])):
+        raise DomainError("t_list must be strictly increasing")
+    return t_list
+
+
+def _backbone(model: ModelQ, times, x_start, cfg: McConfig) -> dict[float, float]:
+    """The conditioning state at each of the increasing ``times``: the
+    conditional mean (zero shocks) from ``x_start`` at the first of them, or
+    from ``x0`` when ``x_start`` is ``None``, under the mutation drift."""
+    x = model.ou.x0 if x_start is None else float(x_start)
+    return dict(zip(times, [x] + _walk(model.ou, x, np.diff(times), itertools.repeat(0.0),
+                                       cfg.mutation_drift)))
+
+
 def mc_martingale_check(model: ModelQ, t_list, tau: float, cfg: McConfig,
                         x_start: float | None = None,
                         discounted: bool = False) -> list[OracleCheck]:
@@ -393,14 +396,10 @@ def mc_martingale_check(model: ModelQ, t_list, tau: float, cfg: McConfig,
     comparison is a genuine conditional expectation test from a fixed
     state.
     """
-    t_list = [float(t) for t in t_list]
-    if any(b <= a for a, b in zip(t_list, t_list[1:])):
-        raise DomainError("t_list must be strictly increasing")
+    t_list = _checkpoints(t_list)
     if t_list[-1] > tau + model.conv.epsilon:
         raise DomainError("martingale checkpoints must not pass tau + epsilon")
-    x = model.ou.x0 if x_start is None else float(x_start)
-    # the conditioning states follow the conditional mean (zero shocks)
-    means = [x] + _walk(model.ou, x, np.diff(t_list), itertools.repeat(0.0), cfg.mutation_drift)
+    backbone = _backbone(model, t_list, x_start, cfg)
     r_h = model.conv.hourly_rate
 
     def quote(t, state):
@@ -410,10 +409,10 @@ def mc_martingale_check(model: ModelQ, t_list, tau: float, cfg: McConfig,
 
     checks = []
     label = "discounted tradable" if discounted else "forward"
-    for t, u, x in zip(t_list, t_list[1:], means):
-        estimate = _run_step_batches(model.ou, x, u - t, cfg,
-                                     lambda state, _u=u: quote(_u, state))
-        closed = float(quote(t, x))
+    for t, u in zip(t_list, t_list[1:]):
+        estimate = _run_step_batches(model.ou, backbone[t], u - t, cfg,
+                                     lambda state: quote(u, state))
+        closed = float(quote(t, backbone[t]))
         checks.append(OracleCheck(f"{label} martingale {t:g}h -> {u:g}h", closed, estimate))
     return checks
 
@@ -426,24 +425,15 @@ def mc_futures_martingale(model: ModelQ, t_list, deliveries: DeliverySet, cfg: M
     forwards for fixings that lie in the past of a checkpoint.
     """
     conv = model.conv
-    t_list = [float(t) for t in t_list]
-    if any(b <= a for a, b in zip(t_list, t_list[1:])):
-        raise DomainError("t_list must be strictly increasing")
+    t_list = _checkpoints(t_list)
     taus = deliveries.hours()
     fixings = [tau - conv.delta for tau in taus]
     if fixings[0] < t_list[0]:
         raise DomainError("first checkpoint must not lie beyond the first fixing")
     weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / len(taus)
-
     # deterministic backbone through checkpoints and fixings
-    backbone_times = sorted(set(t_list) | {f for f in fixings if f >= t_list[0]})
-    x = model.ou.x0 if x_start is None else float(x_start)
-    backbone = dict(zip(backbone_times, [x] + _walk(
-        model.ou, x, np.diff(backbone_times), itertools.repeat(0.0), cfg.mutation_drift)))
-
-    def closed_futures(t):
-        states = {min(t, f): backbone[min(t, f)] for f in fixings}
-        return futures_price(model, t, deliveries, states)
+    backbone = _backbone(model, sorted(set(t_list) | {f for f in fixings if f >= t_list[0]}),
+                         x_start, cfg)
 
     checks = []
     for t, u in zip(t_list, t_list[1:]):
@@ -451,22 +441,20 @@ def mc_futures_martingale(model: ModelQ, t_list, deliveries: DeliverySet, cfg: M
                      for f, tau in zip(fixings, taus) if f <= t)
         live = [(f, tau) for f, tau in zip(fixings, taus) if f > t]
         sim_times = sorted({min(u, f) for f, _ in live})
-        steps = np.diff([t] + sim_times)
-        sds = _step_law(model.ou, steps)[2].tolist()
 
-        def values(z, _frozen=frozen, _live=live, _sim=sim_times, _steps=steps, _sds=sds,
-                   _u=u, _t=t):
-            state = dict(zip(_sim, _walk(model.ou, backbone[_t], _steps,
-                                         (sd * z[:, k] for k, sd in enumerate(_sds)),
-                                         cfg.mutation_drift)))
-            total = np.full(z.shape[0], _frozen)
-            for f, tau in _live:
-                total = total + weight * forward_price(model, min(_u, f), tau, state[min(_u, f)])
+        def values(z):
+            state = dict(zip(sim_times, _exact_walk(model.ou, backbone[t],
+                                                    np.diff([t] + sim_times), z,
+                                                    cfg.mutation_drift)))
+            total = np.full(z.shape[0], frozen)
+            for f, tau in live:
+                total = total + weight * forward_price(model, min(u, f), tau, state[min(u, f)])
             return total
 
         estimate = _run_batches(cfg, max(len(sim_times), 1), values)
-        checks.append(OracleCheck(f"futures martingale {t:g}h -> {u:g}h",
-                                  closed_futures(t), estimate))
+        closed = futures_price(model, t, deliveries,
+                               {min(t, f): backbone[min(t, f)] for f in fixings})
+        checks.append(OracleCheck(f"futures martingale {t:g}h -> {u:g}h", closed, estimate))
     return checks
 
 

@@ -31,6 +31,22 @@ class TestMarketSeries:
             ip.MarketSeries(epoch=dt.date(2015, 1, 1), taus=np.array([0.0, 2.0]),
                             load=np.zeros(2), day_ahead=np.zeros(2), intraday=np.zeros(2))
 
+    def test_fractional_offset_is_hourly(self):
+        # 0.1 + k is not exactly 1 apart for every k; seven steps are off by one ulp
+        taus = 0.1 + np.arange(30_000)
+        assert np.any(np.diff(taus) != 1.0)
+        s = ip.MarketSeries(epoch=dt.date(2015, 1, 1), taus=taus, load=np.zeros(taus.size),
+                            day_ahead=np.zeros(taus.size), intraday=np.zeros(taus.size))
+        assert len(s) == 30_000
+
+    @pytest.mark.parametrize("taus", [[0.0, 1.001], [0.0, 1.0, 1.0]],
+                             ids=["step-1.001h", "duplicate"])
+    def test_off_hour_step_rejected(self, taus):
+        n = len(taus)
+        with pytest.raises(DomainError, match="strictly increasing and hourly"):
+            ip.MarketSeries(epoch=dt.date(2015, 1, 1), taus=np.array(taus), load=np.zeros(n),
+                            day_ahead=np.zeros(n), intraday=np.zeros(n))
+
     def test_load_gaps_rejected(self):
         with pytest.raises(DomainError, match="load"):
             ip.MarketSeries(epoch=dt.date(2015, 1, 1), taus=np.arange(3.0),

@@ -244,6 +244,17 @@ class TestUsageErrors:
             code = exc.code
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--params", "{params}", "--span", "800", "--seed", "-3", "--out", "{out}"],
+        ["verify", "--paths", "1000", "--nested-paths", "1000", "--seed", "-1"],
+    ], ids=["simulate", "verify"])
+    def test_negative_seed_is_usage_error(self, argv, tmp_path, params_file, capsys):
+        argv = [a.format(params=params_file, out=tmp_path / "market.csv") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+
 
 class TestBadInputFiles:
     """Every file flag turns a missing path, a directory or bytes that are not

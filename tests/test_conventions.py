@@ -62,11 +62,15 @@ class TestConventionTypes:
         with pytest.raises(DomainError):
             ip.MarketConventions(**kwargs)
 
-    def test_delivery_time(self, conv):
-        d = ip.DeliveryTime(10.0)
-        assert d.ex_post(conv) == 11.0
-        with pytest.raises(DomainError):
-            ip.DeliveryTime(-1.0)
+    def test_delivery_time(self):
+        # an infinite hour would price a futures contract as a silent nan, and
+        # a nan hour would fail later as a missing driver state
+        for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+            with pytest.raises(DomainError, match="finite and non-negative"):
+                ip.DeliverySet.from_hours([300.0, bad])
+            with pytest.raises(DomainError, match="finite and non-negative"):
+                ip.DeliverySet.from_hours([bad])
+        assert ip.DeliverySet.from_hours([0.0, 300.0]).hours() == [0.0, 300.0]
 
     def test_delivery_set_ordering(self):
         ds = ip.DeliverySet.from_hours([24.0, 25.0, 26.0])

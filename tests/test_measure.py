@@ -11,19 +11,19 @@ from intrinsicprice.measure import _terminal_density
 class TestRealWorldSeasonality:
     def test_zero_theta_identity(self, ref_ou):
         for mode in ("exact", "first_order"):
-            assert ip.real_world_seasonality(55.0, ref_ou, 0.0, 1000.0, mode) == 55.0
+            assert ip.to_risk_neutral_state(55.0, ref_ou, 0.0, 1000.0, mode) == 55.0
 
     def test_modes_agree_for_tiny_horizon(self, ref_ou):
         tau = 1e-6 / ref_ou.lam
-        exact = ip.real_world_seasonality(50.0, ref_ou, -0.0036, tau, "exact")
-        first = ip.real_world_seasonality(50.0, ref_ou, -0.0036, tau, "first_order")
+        exact = ip.to_risk_neutral_state(50.0, ref_ou, -0.0036, tau, "exact")
+        first = ip.to_risk_neutral_state(50.0, ref_ou, -0.0036, tau, "first_order")
         assert exact == pytest.approx(first, rel=1e-6)
 
     def test_one_year_gap_between_modes(self, ref_ou, ref_theta):
         # the first-order form keeps growing linearly; the exact one saturates
         tau = 8760.0
-        exact = ip.real_world_seasonality(0.0, ref_ou, ref_theta, tau, "exact")
-        first = ip.real_world_seasonality(0.0, ref_ou, ref_theta, tau, "first_order")
+        exact = ip.to_risk_neutral_state(0.0, ref_ou, ref_theta, tau, "exact")
+        first = ip.to_risk_neutral_state(0.0, ref_ou, ref_theta, tau, "first_order")
         assert exact == pytest.approx(-math.expm1(-ref_ou.lam * tau) * ref_ou.sigma * ref_theta,
                                       rel=1e-12)
         assert first == pytest.approx(ref_ou.lam * ref_ou.sigma * ref_theta * tau, rel=1e-12)
@@ -31,7 +31,7 @@ class TestRealWorldSeasonality:
 
     def test_unknown_mode_rejected(self, ref_ou):
         with pytest.raises(DomainError):
-            ip.real_world_seasonality(0.0, ref_ou, 0.0, 1.0, mode="quadratic")
+            ip.to_risk_neutral_state(0.0, ref_ou, 0.0, 1.0, mode="quadratic")
 
 
 class TestStateShift:
@@ -189,8 +189,6 @@ class TestRiskPremium:
         with pytest.raises(DomainError):
             ip.risk_premium(ref_model, 0.1, 270.0, 268.0, 0.0)
 
-    def test_girsanov_param_record(self, ref_ou):
+    def test_girsanov_param_record(self):
         with pytest.raises(DomainError):
             ip.GirsanovParam(float("inf"))
-        p = ip.GirsanovParam(-0.0036)
-        assert p.drift_rate(ref_ou) == pytest.approx(-0.0036 * 0.0298)

@@ -33,15 +33,6 @@ class TestEngine:
         c = ip.mc_forward(ref_model, 100.0, 268.0, 1.0, ip.McConfig(n_paths=300_000, seed=12))
         assert c.mean != a.mean
 
-    def test_antithetic_same_mean_smaller_error(self, ref_model):
-        plain = ip.mc_forward(ref_model, 100.0, 268.0, 1.0,
-                              ip.McConfig(n_paths=400_000, seed=5))
-        paired = ip.mc_forward(ref_model, 100.0, 268.0, 1.0,
-                               ip.McConfig(n_paths=400_000, seed=5, antithetic=True))
-        joint = math.hypot(plain.std_error, paired.std_error)
-        assert abs(plain.mean - paired.mean) <= 3 * joint
-        assert paired.std_error < plain.std_error
-
     def test_standard_error_scaling(self, ref_model):
         small = ip.mc_forward(ref_model, 100.0, 268.0, 1.0, ip.McConfig(n_paths=100_000, seed=7))
         large = ip.mc_forward(ref_model, 100.0, 268.0, 1.0, ip.McConfig(n_paths=400_000, seed=8))
@@ -52,11 +43,14 @@ class TestEngine:
         with pytest.raises(DomainError):
             ip.McConfig(n_paths=1)
         with pytest.raises(DomainError):
-            ip.McConfig(n_paths=101, antithetic=True)
-        with pytest.raises(DomainError):
             ip.McConfig(time_step=0.0)
         with pytest.raises(DomainError):
             ip.McEstimate(mean=0.0, std_error=-1.0, n_paths=10)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            ip.McConfig(seed=-1)
+        assert ip.McConfig(seed=0).seed == 0
 
 
 class TestDirectOracles:

@@ -9,7 +9,10 @@ script runs ``perfbench/run.py --trace 0`` of both checkouts, one after
 the other, alternating which side runs first; it never edits the
 benchmark.  The output keeps every run (its metrics, ``correct``,
 ``failed`` and ``attempted``) and, per side and metric, the median and
-quartiles, plus the number of pairs the change won.  An existing output
+quartiles, plus the number of pairs the change won and the median and
+quartiles of the per-pair change/parent ratios.  A slow phase of the
+machine that falls on one side moves that side's median, but it moves
+both runs of a pair alike, so the ratios do not follow it.  An existing output
 file gains the workloads run now, so workloads may use different pair
 counts.  The provenance of
 each side is the git SHA and the SHA-256 of ``src/`` that ``run.py``
@@ -56,7 +59,9 @@ def quartiles(values: list[float]) -> dict:
 
 def summarise(runs: list[dict]) -> dict:
     """Per side and metric the median and quartiles; per metric the change's
-    wins over the pairs (lower is better for every end-to-end metric)."""
+    wins over the pairs (lower is better for every end-to-end metric) and
+    the median and quartiles of the change/parent ratio of each pair whose
+    parent value is not zero (``None`` when no pair has one)."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     names = list(by_side["parent"][0]["metrics"])
     summary = {side: {name: quartiles([r["metrics"][name] for r in side_runs])
@@ -66,6 +71,10 @@ def summarise(runs: list[dict]) -> dict:
     summary["change_wins"] = {
         name: f"{sum(c['metrics'][name] < p['metrics'][name] for p, c in pairs)}/{len(pairs)}"
         for name in names}
+    ratios = {name: [c["metrics"][name] / p["metrics"][name]
+                     for p, c in pairs if p["metrics"][name]] for name in names}
+    summary["change_over_parent"] = {name: quartiles(r) if r else None
+                                     for name, r in ratios.items()}
     summary["units"] = by_side["parent"][0]["units"]
     return summary
 
