@@ -147,15 +147,9 @@ def load_series(path) -> MarketSeries:
 
 
 def _stamp_strings(taus: np.ndarray, epoch: _dt.date) -> list[str]:
-    """``isoformat(sep=" ")`` of ``epoch`` midnight plus ``taus`` hours, as
-    ``datetime + timedelta(hours=tau)`` gives it: whole hours plus the
-    fraction rounded half-even to a microsecond, with the microseconds
-    printed only when they are not zero."""
-    fraction, whole = np.modf(taus)
-    micros = whole.astype(np.int64) * 3_600_000_000 + np.rint(fraction * 3.6e9).astype(np.int64)
-    stamps = np.datetime64(epoch, "us") + micros.astype("timedelta64[us]")
-    return [f"{s[:10]} {s[11:19]}" if s.endswith(".000000") else f"{s[:10]} {s[11:]}"
-            for s in np.datetime_as_string(stamps, unit="us").tolist()]
+    """``isoformat(sep=" ")`` of ``epoch`` midnight plus the whole ``taus`` hours."""
+    stamps = np.datetime64(epoch, "h") + taus.astype(np.int64).astype("timedelta64[h]")
+    return [s.replace("T", " ") for s in np.datetime_as_string(stamps, unit="s").tolist()]
 
 
 def _cells(values: np.ndarray) -> list[str]:
@@ -167,7 +161,10 @@ def _cells(values: np.ndarray) -> list[str]:
 
 
 def write_series(series: MarketSeries, path):
-    """Write a series in the CSV layout; floats use shortest round-trip form."""
+    """Write a series in the CSV layout; floats use shortest round-trip form.
+    The layout holds on-the-hour stamps only, so every hour must be whole."""
+    if np.any(series.taus % 1.0):
+        raise DomainError("write_series needs whole hours since the epoch")
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(_COLUMNS) + "\n")
         for start in range(0, len(series), _BLOCK_ROWS):
@@ -220,6 +217,8 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     except TypeError:
         sd_intraday = sd_day_ahead = float(noise_sd)
 
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     epoch = model.load_seasonality.epoch
     taus = np.arange(n, dtype=float)

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelQ, _legs, _maybe_scalar, _pick_leg
+from .model import ModelQ, _legs, _pick_leg
 from .ou import OuParams
 from .seasonality import SeasonalityModel
-
-_MODES = ("first_order", "exact")
 
 
 @dataclass(frozen=True)
@@ -41,24 +39,6 @@ class GirsanovParam:
             raise DomainError(f"theta must be finite, got {self.theta}")
 
 
-def _check_mode(mode: str):
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _add_drift_shift(value, ou: OuParams, theta: float, tau, mode: str):
-    """``value`` plus the load shift the measure drift builds up by ``tau``."""
-    _check_mode(mode)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise DomainError("tau must be non-negative")
-    if mode == "exact":
-        shift = -np.expm1(-ou.lam * tau) * ou.sigma * theta
-    else:
-        shift = ou.lam * ou.sigma * theta * tau
-    return _maybe_scalar(value + shift, value, tau)
-
-
 def to_risk_neutral_state(x_tilde, ou: OuParams, theta: float, tau,
                           mode: str = "first_order"):
     """Map a real-world (deseasonalised) load deviation at time ``tau`` to the
@@ -67,7 +47,17 @@ def to_risk_neutral_state(x_tilde, ou: OuParams, theta: float, tau,
     First order: ``x~ + lam sigma theta tau`` (the calibration convention);
     exact: ``x~ + (1 - e^{-lam tau}) sigma theta``.
     """
-    return _add_drift_shift(x_tilde, ou, theta, tau, mode)
+    modes = ("first_order", "exact")
+    if mode not in modes:
+        raise DomainError(f"mode must be one of {modes}, got {mode!r}")
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
+        raise DomainError("tau must be non-negative")
+    if mode == "exact":
+        shift = -np.expm1(-ou.lam * tau) * ou.sigma * theta
+    else:
+        shift = ou.lam * ou.sigma * theta * tau
+    return x_tilde + shift
 
 
 def p_seasonality_from_q(g: SeasonalityModel, ou: OuParams, theta: float) -> SeasonalityModel:
@@ -141,8 +131,7 @@ def supply_leg_real_world_expectation(model: ModelQ, theta: float, i: int, t, ta
     that carries the accumulated measure drift.  At ``theta = 0`` it
     coincides exactly with :func:`intrinsicprice.model.supply_leg_expectation`.
     """
-    value = _pick_leg(i, _real_world_legs(model, theta, t, tau, x_tilde))
-    return _maybe_scalar(value, t, tau, x_tilde)
+    return _pick_leg(i, _real_world_legs(model, theta, t, tau, x_tilde))
 
 
 def risk_premium(model: ModelQ, theta: float, t, tau, x_tilde):
@@ -155,4 +144,4 @@ def risk_premium(model: ModelQ, theta: float, t, tau, x_tilde):
     x = to_risk_neutral_state(x_tilde, model.ou, theta, t)
     _, leg1, leg2 = _legs(model, t, tau, x)
     _, leg1_p, leg2_p = _real_world_legs(model, theta, t, tau, x_tilde)
-    return _maybe_scalar((leg1 - leg2) - (leg1_p - leg2_p), t, tau, x_tilde)
+    return (leg1 - leg2) - (leg1_p - leg2_p)

@@ -65,19 +65,13 @@ def _checked_exp(exponent, context: str):
     return np.exp(exponent)
 
 
-def _maybe_scalar(value, *inputs):
-    if all(np.isscalar(v) or np.ndim(v) == 0 for v in inputs):
-        return float(value)
-    return value
-
-
 def intrinsic_price(model: ModelQ, load_at_tau_e, tau):
     """Settlement price for delivery ``tau`` given the realised ex-post load."""
     s = model.supply
     g3 = evaluate(model.price_seasonality, tau)
     leg1 = _checked_exp(s.alpha1 * (load_at_tau_e - s.beta1), "supply leg 1")
     leg2 = _checked_exp(s.alpha2 * (load_at_tau_e - s.beta2), "supply leg 2")
-    return _maybe_scalar(leg1 - leg2 + g3, load_at_tau_e, tau)
+    return leg1 - leg2 + g3
 
 
 def _leg_moments(supply: SupplyParams, ou: OuParams, g_tau_e, horizon, x):
@@ -122,14 +116,14 @@ def supply_leg_expectation(model: ModelQ, i: int, t, tau, x):
     Requires ``t <= tau_e``.  At ``t = tau_e`` the convexity term vanishes
     and the value is the realised supply leg.
     """
-    return _maybe_scalar(_pick_leg(i, _legs(model, t, tau, x)), t, tau, x)
+    return _pick_leg(i, _legs(model, t, tau, x))
 
 
 def forward_price(model: ModelQ, t, tau, x):
     """Undiscounted conditional expectation of the settlement price (a martingale in t)."""
     g3 = evaluate(model.price_seasonality, tau)
     _, leg1, leg2 = _legs(model, t, tau, x)
-    return _maybe_scalar(leg1 - leg2 + g3, t, tau, x)
+    return leg1 - leg2 + g3
 
 
 def tradable_price(model: ModelQ, t, tau, x):
@@ -138,7 +132,7 @@ def tradable_price(model: ModelQ, t, tau, x):
     g3 = evaluate(model.price_seasonality, tau)
     horizon, leg1, leg2 = _legs(model, t, tau, x)
     df = np.exp(-model.conv.hourly_rate * horizon)
-    return _maybe_scalar(df * (leg1 - leg2 + g3), t, tau, x)
+    return df * (leg1 - leg2 + g3)
 
 
 def intraday_price(model: ModelQ, tau, x_at_tau):
@@ -165,11 +159,11 @@ def price_generating(model: ModelQ, t, tau, x):
     tau_e = np.asarray(tau, dtype=float) + model.conv.epsilon
     live = t_arr <= tau_e
     if not np.any(live):
-        return _maybe_scalar(np.zeros(np.broadcast(t_arr, tau_e, np.asarray(x)).shape), t, tau, x)
+        return np.zeros(np.broadcast(t_arr, tau_e, np.asarray(x)).shape)
     horizon, leg1, leg2 = _legs(model, np.where(live, t_arr, tau_e), tau, x)
     s = model.supply
     value = model.ou.sigma * np.exp(-model.ou.lam * horizon) * (s.alpha1 * leg1 - s.alpha2 * leg2)
-    return _maybe_scalar(np.where(live, value, 0.0), t, tau, x)
+    return np.where(live, value, 0.0)
 
 
 def _stopped_times(t: float, taus: np.ndarray, conv: MarketConventions) -> np.ndarray:

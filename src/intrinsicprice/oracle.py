@@ -148,6 +148,17 @@ def _w_integral_law(ou: OuParams, h: float) -> tuple[float, float, float]:
     return math.sqrt(h), cov / h, math.sqrt(max(var_i - cov**2 / h, 0.0))
 
 
+def _w_walk(ou: OuParams, x, h: float, z_w, z_i, drift: float = 0.0):
+    """Brownian increments over consecutive steps ``h`` and the exact OU
+    states they drive from ``x`` under the constant ``drift``: column ``k``
+    of the standard normals ``z_w`` and ``z_i`` draws step ``k``'s ``dW``
+    and the rest of its OU integral.  Returns ``(dW, states)``."""
+    sd_w, slope, resid_sd = _w_integral_law(ou, h)
+    dw = sd_w * z_w
+    shocks = ou.sigma * (slope * dw + resid_sd * z_i)   # whole arrays: faster than by column
+    return dw, _walk(ou, x, np.full(dw.shape[1], h), shocks.T, drift)
+
+
 # ---------------------------------------------------------------------------
 # direct price estimators
 # ---------------------------------------------------------------------------
@@ -249,13 +260,11 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
     # (b) density-weighted: pricing-measure sampling of (W increment, OU integral)
     density_drift = ou.lam * theta
     x_q = to_risk_neutral_state(x_tilde_t, ou, theta, t, mode="exact")
-    sd_w, slope, resid_sd = _w_integral_law(ou, span)
 
     def values_weighted(z):
-        dw = sd_w * z[:, 0]
-        integral = slope * dw + resid_sd * z[:, 1]
-        x_tau = _walk(ou, x_q, [span], [ou.sigma * integral], cfg.mutation_drift)[0]
-        density = np.exp(density_drift * dw - 0.5 * density_drift**2 * span)
+        dw, (x_tau,) = _w_walk(ou, x_q, span, z[:, :1], z[:, 1:], cfg.mutation_drift)
+        # a zero span has no grid interval, and the density there is 1
+        density = _terminal_density(density_drift, dw, [0.0, span]) if span > 0 else 1.0
         return density * intraday_price(model, tau, x_tau)
 
     weighted_cfg = replace(cfg, seed=cfg.seed + 1)
@@ -315,13 +324,15 @@ def mc_lognormal_forward(f0: float, var_integral: float, cfg: McConfig) -> McEst
 
 def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float,
                          cfg: McConfig) -> OracleCheck:
-    """The density process has unit expectation at the horizon."""
+    """The density process has unit expectation at the horizon.  Mutation
+    adds ``mutation_drift * h`` to each Brownian increment over a step ``h``."""
     grid = np.linspace(0.0, horizon, _DENSITY_STEPS + 1)
-    sqrt_h = math.sqrt(horizon / _DENSITY_STEPS)
+    h = horizon / _DENSITY_STEPS
+    sqrt_h = math.sqrt(h)
     density_drift = ou.lam * theta
 
     def values(z):
-        return _terminal_density(density_drift, sqrt_h * z, grid)
+        return _terminal_density(density_drift, sqrt_h * z + cfg.mutation_drift * h, grid)
 
     return OracleCheck("density process unit mean", 1.0,
                        _run_batches(cfg, _DENSITY_STEPS, values))
@@ -330,23 +341,18 @@ def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float,
 def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float,
                         cfg: McConfig) -> list[OracleCheck]:
     """Weighting pricing-measure samples by the density must reproduce the
-    real-world mean and variance of the centred deviation."""
+    real-world mean and variance of the centred deviation.  Mutation adds
+    ``mutation_drift`` to the drift of the simulated deviation."""
     grid = np.linspace(0.0, horizon, _DENSITY_STEPS + 1)
     h = horizon / _DENSITY_STEPS
     density_drift = ou.lam * theta
-    sd_w, slope, resid_sd = _w_integral_law(ou, h)
-
     mean_p, var_p = transition(ou, ou.x0, horizon)
 
     def terminal(z):
-        dw = sd_w * z[:, :_DENSITY_STEPS]
-        integral = slope * dw + resid_sd * z[:, _DENSITY_STEPS:]
         # centred deviation under P: the pricing-measure path with drift -lam sigma theta
-        shocks = (ou.sigma * integral[:, k] for k in range(_DENSITY_STEPS))
-        x = _walk(ou, ou.x0, np.full(_DENSITY_STEPS, h), shocks,
-                  -ou.lam * ou.sigma * theta)[-1]
-        nu = _terminal_density(density_drift, dw, grid)
-        return x, nu
+        dw, states = _w_walk(ou, ou.x0, h, z[:, :_DENSITY_STEPS], z[:, _DENSITY_STEPS:],
+                             -ou.lam * ou.sigma * theta + cfg.mutation_drift)
+        return states[-1], _terminal_density(density_drift, dw, grid)
 
     def values_mean(z):
         x, nu = terminal(z)
@@ -488,19 +494,15 @@ def euler_representation_error(model: ModelQ, tau: float, t0: float, span: float
                               "dividing the span")
         factors.append(m)
 
-    ou = model.ou
-    sd_w, slope, resid_sd = _w_integral_law(ou, h_fine)
-
     rng = np.random.default_rng(seed)
     batch = 65536
     sums = {h: 0.0 for h in h_list}
     done = 0
     while done < n_paths:
         m = min(batch, n_paths - done)
-        dw = sd_w * rng.standard_normal((m, n_fine))
-        resid = resid_sd * rng.standard_normal((m, n_fine))
-        x = [x_t0] + _walk(ou, x_t0, np.full(n_fine, h_fine),
-                           (ou.sigma * (slope * dw[:, k] + resid[:, k]) for k in range(n_fine)))
+        z_w = rng.standard_normal((m, n_fine))     # the dW normals are drawn first
+        dw, states = _w_walk(model.ou, x_t0, h_fine, z_w, rng.standard_normal((m, n_fine)))
+        x = [x_t0] + states
         df = forward_price(model, t0 + span, tau, x[-1]) - forward_price(model, t0, tau, x[0])
         for h, fac in zip(h_list, factors):
             idx = np.arange(0, n_fine, fac)

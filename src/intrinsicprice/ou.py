@@ -67,8 +67,6 @@ def transition(params: OuParams, x, dt):
         raise DomainError("transition requires dt >= 0")
     mean = x * np.exp(-params.lam * dt)
     variance = params.sigma**2 * -np.expm1(-2.0 * params.lam * dt) / (2.0 * params.lam)
-    if np.isscalar(x) and variance.ndim == 0:
-        return float(mean), float(variance)
     return mean, variance
 
 
@@ -113,6 +111,8 @@ def simulate(params: OuParams, grid, seed: int) -> OuPath:
         raise DomainError(f"grid must start at 0, got {grid[0]}")
     if np.any(np.diff(grid) <= 0):
         raise DomainError("grid must be strictly increasing")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
     values = _sample_path(params, np.diff(grid), np.random.default_rng(seed))
     return OuPath(times=grid, values=values)

@@ -190,10 +190,9 @@ def _from_coefficients(beta: np.ndarray, cal: Calendar, epoch: _dt.date) -> Seas
 
 
 def evaluate(model: SeasonalityModel, tau):
-    """Seasonal value at ``tau`` (scalar or array of hours since epoch)."""
-    taus = np.asarray(tau, dtype=float)
-    scalar = taus.ndim == 0
-    taus = np.atleast_1d(taus)
+    """Seasonal value at ``tau`` (scalar or array of hours since epoch), in
+    an array of the shape of ``tau``."""
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if np.any(taus < 0):
         raise DomainError("seasonality is defined for tau >= 0 only")
     days, hours = _day_and_hour(taus)
@@ -204,7 +203,7 @@ def evaluate(model: SeasonalityModel, tau):
            + model.cos_annual * np.cos(_TWO_PI * taus / HOURS_PER_YEAR)
            + model.dow_weights[classes]
            + model.hod_weights[hours])
-    return float(out[0]) if scalar else out
+    return out.reshape(np.shape(tau))
 
 
 def fit(taus, values, cal: Calendar, epoch: _dt.date) -> SeasonalityModel:

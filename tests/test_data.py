@@ -135,6 +135,17 @@ class TestRoundTrip:
         assert np.array_equal(back.day_ahead, series.day_ahead, equal_nan=True)
         assert np.array_equal(back.intraday, series.intraday, equal_nan=True)
 
+    def test_fractional_hours_refused(self, tmp_path, ref_model, ref_theta):
+        # the CSV holds on-the-hour stamps, which load_series requires
+        series = ip.generate_synthetic(ref_model, ref_theta, 720, 0.5, seed=1)
+        shifted = ip.MarketSeries(epoch=series.epoch, taus=series.taus[:48] + 0.5,
+                                  load=series.load[:48], day_ahead=series.day_ahead[:48],
+                                  intraday=series.intraday[:48])
+        path = tmp_path / "half.csv"
+        with pytest.raises(DomainError, match="whole hours"):
+            ip.write_series(shifted, path)
+        assert not path.exists()
+
     def test_written_bytes_are_stable(self, tmp_path, ref_model, ref_theta):
         series = ip.generate_synthetic(ref_model, ref_theta, 800, 0.5, seed=4)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -149,9 +160,8 @@ class TestColumnwiseBlocks:
 
     def test_written_bytes_match_pinned_digest(self, tmp_path):
         # NaN and +-inf prices are blank, -0.0 and exponents keep their repr,
-        # and the start (07:30 plus 3 * 2^-11 h, a half-microsecond tie that
-        # rounds up to even) is not a whole hour; the digest is of the file
-        # the row-by-row writer made
+        # and the series starts at 07:00, not at midnight; the digest is of
+        # the file a row-by-row writer (datetime + timedelta, repr) makes
         n = 5000
         assert n > _BLOCK_ROWS
         k = np.arange(n, dtype=float)
@@ -163,7 +173,7 @@ class TestColumnwiseBlocks:
         intraday[5::31] = -np.inf
         intraday[7] = 1e-07
         intraday[8] = 1.5e300
-        series = ip.MarketSeries(epoch=dt.date(2015, 12, 31), taus=7.5 + 3 * 2.0**-11 + k,
+        series = ip.MarketSeries(epoch=dt.date(2015, 12, 31), taus=7.0 + k,
                                  load=40.0 + (k % 97) / 8.0 + k / 3.0,
                                  day_ahead=day_ahead, intraday=intraday)
         path = tmp_path / "pinned.csv"
@@ -171,13 +181,13 @@ class TestColumnwiseBlocks:
         data = path.read_bytes()
         lines = data.decode().splitlines()
         assert lines[:3] == ["timestamp,load,day_ahead,intraday",
-                             "2015-12-31 07:30:05.273438,40.0,,-5.0",
-                             "2015-12-31 08:30:05.273438,40.458333333333336,-0.0,"
+                             "2015-12-31 07:00:00,40.0,,-5.0",
+                             "2015-12-31 08:00:00,40.458333333333336,-0.0,"
                              "-4.909090909090909"]
         assert lines[4].endswith(",") and lines[6].endswith(",")
         assert lines[8].endswith(",1e-07") and lines[9].endswith(",1.5e+300")
         assert hashlib.sha256(data).hexdigest() == (
-            "f96051598a9903abce80538f175788b97b28cea831769465c29a95bd13dd4726")
+            "a8834bf764bc0be78ac43c25cfe24fc7e1cee34a3e7cf6e034448645f45d8a32")
 
     def test_round_trip_over_several_blocks(self, tmp_path, ref_model, ref_theta):
         series = ip.generate_synthetic(ref_model, ref_theta, 2 * _BLOCK_ROWS + 30, 0.4, seed=11)
@@ -367,6 +377,10 @@ class TestGenerateSynthetic:
         clean = ip.generate_synthetic(ref_model, ref_theta, 900, 0.0, seed=8)
         assert np.allclose(quiet.intraday, clean.intraday, atol=1e-12)
         assert not np.allclose(quiet.day_ahead[24:], clean.day_ahead[24:], atol=0.5)
+
+    def test_negative_seed_rejected(self, ref_model, ref_theta):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            ip.generate_synthetic(ref_model, ref_theta, 720, 0.5, seed=-1)
 
     def test_minimum_span_enforced(self, ref_model, ref_theta):
         with pytest.raises(DomainError, match="month"):

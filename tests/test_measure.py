@@ -124,6 +124,27 @@ class TestGirsanovConsistency:
         assert all(c.passed for c in checks)
 
 
+class TestMutationPower:
+    """The mutation drift reaches both density checks.  Each drift and path
+    count below gives |z| > 5 at its seed: -16.2, +11.2 and +9.2.  A positive
+    drift moves the second moment by 2 m d + d^2 with the mean m < 0 here, so
+    the two terms partly cancel; a negative drift has more power there."""
+
+    def test_density_unit_mean_fails(self, ref_ou, ref_theta):
+        cfg = ip.McConfig(n_paths=20_000, seed=1, mutation_drift=0.01)
+        assert ip.mc_density_unit_mean(ref_ou, ref_theta, 168.0, cfg).z < -5.0
+
+    def test_density_weighted_mean_fails(self, ref_ou, ref_theta):
+        cfg = ip.McConfig(n_paths=50_000, seed=1, mutation_drift=0.01)
+        mean, _ = ip.mc_girsanov_moments(ref_ou, ref_theta, 96.0, cfg)
+        assert mean.z > 5.0
+
+    def test_density_weighted_second_moment_fails(self, ref_ou, ref_theta):
+        cfg = ip.McConfig(n_paths=20_000, seed=1, mutation_drift=-0.05)
+        _, second = ip.mc_girsanov_moments(ref_ou, ref_theta, 96.0, cfg)
+        assert second.z > 5.0
+
+
 class TestRealWorldLegExpectation:
     def test_zero_theta_matches_pricing_measure_leg(self, ref_model):
         t, tau, x = 100.0, 268.0, 2.4

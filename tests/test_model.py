@@ -225,6 +225,50 @@ class TestFutures:
             ip.futures_price(ref_model, 0.0, early, {0.0: 0.0})
 
 
+_LIVE = slice(0, 4)     # the rows with t <= tau + epsilon
+_ALL = slice(None)
+
+# each of the ten public functions as (m, theta, t, tau, x) -> value, with the
+# rows of TestArraysInArraysOut it accepts
+_CALLS = {
+    "intrinsic_price": (lambda m, th, t, tau, x: ip.intrinsic_price(m, 47.0 + x, tau), _ALL),
+    "supply_leg_expectation": (
+        lambda m, th, t, tau, x: ip.supply_leg_expectation(m, 2, t, tau, x), _LIVE),
+    "forward_price": (lambda m, th, t, tau, x: ip.forward_price(m, t, tau, x), _LIVE),
+    "tradable_price": (lambda m, th, t, tau, x: ip.tradable_price(m, t, tau, x), _LIVE),
+    "price_generating": (lambda m, th, t, tau, x: ip.price_generating(m, t, tau, x), _ALL),
+    "to_risk_neutral_state": (
+        lambda m, th, t, tau, x: ip.to_risk_neutral_state(x, m.ou, th, t, "exact"), _ALL),
+    "supply_leg_real_world_expectation": (
+        lambda m, th, t, tau, x: ip.supply_leg_real_world_expectation(m, th, 1, t, tau, x),
+        _LIVE),
+    "risk_premium": (lambda m, th, t, tau, x: ip.risk_premium(m, th, t, tau, x), _LIVE),
+    "transition-mean": (lambda m, th, t, tau, x: ip.transition(m.ou, x, tau - t)[0], _LIVE),
+    "transition-variance": (lambda m, th, t, tau, x: ip.transition(m.ou, x, tau - t)[1], _LIVE),
+    "evaluate": (lambda m, th, t, tau, x: ip.evaluate(m.load_seasonality, tau), _ALL),
+}
+
+
+class TestArraysInArraysOut:
+    """A scalar call returns a numpy scalar or 0-d array equal, bit for bit,
+    to the matching element of the same call on arrays."""
+
+    T = np.array([10.0, 150.0, 250.0, 268.0, 300.0])    # the last is past settlement
+    TAU = np.array([40.0, 200.0, 260.0, 268.0, 280.0])
+    X = np.array([-3.2, 0.0, 1.7, 2.5, -0.4])
+
+    @pytest.mark.parametrize("name", list(_CALLS))
+    def test_scalar_call_is_the_array_element(self, ref_model, ref_theta, name):
+        fn, rows = _CALLS[name]
+        t, tau, x = self.T[rows], self.TAU[rows], self.X[rows]
+        on_arrays = fn(ref_model, ref_theta, t, tau, x)
+        assert on_arrays.shape == t.shape
+        for k in range(t.size):
+            value = fn(ref_model, ref_theta, float(t[k]), float(tau[k]), float(x[k]))
+            assert isinstance(value, (np.generic, np.ndarray)) and np.ndim(value) == 0
+            assert np.asarray(value).tobytes() == on_arrays[k].tobytes()
+
+
 class TestSupplyParams:
     def test_sign_constraints(self):
         with pytest.raises(DomainError):

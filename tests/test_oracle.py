@@ -6,6 +6,7 @@ import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError
+from intrinsicprice.oracle import _w_walk
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,22 @@ def test_mutation_drift_shifts_the_state_by_the_exact_law(ref_model):
     g_tau_e = ip.evaluate(model.load_seasonality, tau + model.conv.epsilon)
     assert est.mean == pytest.approx(ip.intrinsic_price(model, g_tau_e + expected, tau),
                                      rel=1e-12)
+
+
+def test_w_walk_draws_the_exact_joint_law(ref_ou):
+    # one step h: Var dW = h, Cov(dW, X_h) = sigma (1 - e^{-lam h}) / lam and
+    # Var X_h = the transition variance, each within 4 standard errors
+    n, h, x = 200_000, 5.0, 2.0
+    rng = np.random.default_rng(31)
+    dw, (x_h,) = _w_walk(ref_ou, x, h, rng.standard_normal((n, 1)),
+                         rng.standard_normal((n, 1)))
+    dw = dw[:, 0]
+    mean, variance = ip.transition(ref_ou, x, h)
+    cov = ref_ou.sigma * -math.expm1(-ref_ou.lam * h) / ref_ou.lam
+    for products, expected in ((dw * dw, h), (dw * (x_h - mean), cov),
+                               ((x_h - mean) ** 2, variance)):
+        se = products.std(ddof=1) / math.sqrt(n)
+        assert abs(products.mean() - expected) < 4 * se
 
 
 class TestRiskPremiumOracle:

@@ -90,6 +90,10 @@ class TestSimulate:
         with pytest.raises(DomainError):
             ip.simulate(ref_ou, [0.0, 2.0, 2.0], seed=0)  # must increase
 
+    def test_negative_seed_rejected(self, ref_ou):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            ip.simulate(ref_ou, np.arange(0.0, 5.0), seed=-1)
+
     def test_path_type_validation(self):
         with pytest.raises(DomainError):
             ip.OuPath(times=np.array([0.0, 1.0]), values=np.array([1.0]))
