@@ -32,7 +32,7 @@ from .oracle import (McConfig, McEstimate, OracleCheck, RiskPremiumMc, all_passe
                      mc_futures_martingale, mc_girsanov_moments,
                      mc_lognormal_forward, mc_martingale_check, mc_option,
                      mc_risk_premium, mc_tradable, run_verification_suite)
-from .ou import OuParams, OuPath, fit_mle, sample_transition, simulate, transition
+from .ou import OuParams, fit_mle, sample_transition, simulate, transition
 from .seasonality import (Calendar, SeasonalityModel, WeekdayClass, design_matrix,
                           design_row, evaluate, fit, load_calendar,
                           price_seasonality_target, weekday_class)

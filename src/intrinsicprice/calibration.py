@@ -387,7 +387,6 @@ def initial_supply_guess(series: MarketSeries, gamma3: SeasonalityModel,
 
 def calibrate(series: MarketSeries, cal: Calendar, conv: MarketConventions,
               gamma3: SeasonalityModel | None = None,
-              init_supply: SupplyParams | None = None,
               init_theta: float = 0.0) -> CalibrationResult:
     """Full pipeline: load seasonality, OU fit, price seasonality (unless a
     known one is supplied), direct supply guess, then the joint
@@ -396,10 +395,8 @@ def calibrate(series: MarketSeries, cal: Calendar, conv: MarketConventions,
     ou = fit_ou(series, g_tilde)
     if gamma3 is None:
         gamma3 = fit_price_seasonality(series, cal, conv)
-    if init_supply is None:
-        init_supply = initial_supply_guess(series, gamma3, conv)
     return calibrate_supply_theta(series, g_tilde, ou, gamma3, conv,
-                                  init_supply, init_theta)
+                                  initial_supply_guess(series, gamma3, conv), init_theta)
 
 
 def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,

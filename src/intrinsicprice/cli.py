@@ -391,7 +391,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DomainError, EstimationError, NumericError, OSError) as exc:
+    except (ParseError, DomainError, EstimationError, NumericError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,24 +36,6 @@ class OuParams:
         return self.sigma**2 / (2.0 * self.lam)
 
 
-@dataclass(frozen=True)
-class OuPath:
-    """A realisation of the process on a strictly increasing time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.shape != values.shape:
-            raise DomainError("times and values must have equal length")
-        if np.any(np.diff(times) <= 0):
-            raise DomainError("path times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-
 def transition(params: OuParams, x, dt):
     """Exact conditional law of ``X_{t+dt}`` given ``X_t = x``.
 
@@ -98,8 +80,9 @@ def sample_transition(params: OuParams, x, dt, rng: np.random.Generator, drift: 
     return _walk(params, x, [dt], [noise], drift)[0]
 
 
-def simulate(params: OuParams, grid, seed: int) -> OuPath:
-    """Simulate one path on ``grid`` by exact-transition sampling (no Euler bias).
+def simulate(params: OuParams, grid, seed: int) -> np.ndarray:
+    """Simulate one path on ``grid`` by exact-transition sampling (no Euler bias),
+    returning its value at each grid point.
 
     The grid must be strictly increasing and start at 0, where the path
     takes the value ``params.x0``.  Reproducible for a fixed seed.
@@ -114,8 +97,7 @@ def simulate(params: OuParams, grid, seed: int) -> OuPath:
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
 
-    values = _sample_path(params, np.diff(grid), np.random.default_rng(seed))
-    return OuPath(times=grid, values=values)
+    return _sample_path(params, np.diff(grid), np.random.default_rng(seed))
 
 
 def _sample_path(params: OuParams, steps: np.ndarray, rng: np.random.Generator) -> np.ndarray:

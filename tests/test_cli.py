@@ -244,6 +244,19 @@ class TestUsageErrors:
             code = exc.code
         assert code == 2
 
+    # each asks for an array of several PiB, which numpy refuses before allocating
+    @pytest.mark.parametrize("argv", [
+        ["risk-premium", "--params", "{params}", "--tau", "2160", "--t-start", "0",
+         "--t-end", "2000", "--t-step", "1e-12", "--out", "{out}"],
+        ["simulate", "--params", "{params}", "--span", "1000000000000000", "--out", "{out}"],
+    ], ids=["risk-premium", "simulate"])
+    def test_oversized_grid_is_usage_error(self, argv, tmp_path, params_file, capsys):
+        out = tmp_path / "out.csv"
+        argv = [a.format(params=params_file, out=out) for a in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--params", "{params}", "--span", "800", "--seed", "-3", "--out", "{out}"],
         ["verify", "--paths", "1000", "--nested-paths", "1000", "--seed", "-1"],

@@ -412,7 +412,7 @@ class TestGenerateSynthetic:
         g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
         deviation = series.load - ip.evaluate(g_tilde, series.taus)
         path = ip.simulate(ref_model.ou, np.arange(n), seed)
-        assert np.max(np.abs(deviation - path.values)) <= 1e-12
+        assert np.max(np.abs(deviation - path)) <= 1e-12
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -172,9 +172,8 @@ class TestPriceGenerating:
         # representation check over a short window two weeks before settlement
         tau = 2160.0
         t0 = tau + 1.0 - 336.0
-        cfg = ip.McConfig(n_paths=40_000, seed=5)
-        errs = ip.euler_representation_error(ref_model, tau, t0, span=0.1, cfg=cfg,
-                                             x_t0=3.0, h_list=[1e-2, 5e-3])
+        cfg = ip.McConfig(n_paths=40_000, seed=5, time_step=5e-3)
+        errs = ip.euler_representation_error(ref_model, tau, t0, span=0.1, cfg=cfg, x_t0=3.0)
         ratio = errs[5e-3] / errs[1e-2]
         assert 0.35 < ratio < 0.65
 
@@ -188,8 +187,9 @@ class TestPriceGenerating:
         assert ip.supply_leg_expectation(model, 2, 100.0, 268.0, 0.0) < 1e-200
         tau = 2160.0
         errs = ip.euler_representation_error(model, tau, tau + 1.0 - 336.0, span=0.1,
-                                             cfg=ip.McConfig(n_paths=40_000, seed=6),
-                                             x_t0=3.0, h_list=[1e-2, 5e-3])
+                                             cfg=ip.McConfig(n_paths=40_000, seed=6,
+                                                             time_step=5e-3),
+                                             x_t0=3.0)
         assert 0.35 < errs[5e-3] / errs[1e-2] < 0.65
 
 

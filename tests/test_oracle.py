@@ -154,14 +154,12 @@ class TestMartingaleChecks:
         with pytest.raises(DomainError, match="first fixing"):
             ip.mc_futures_martingale(ref_model, [250.0, 260.0], strip, cfg)
 
-    def test_representation_steps_must_nest(self, ref_model):
-        cfg = ip.McConfig(n_paths=100, seed=0)
-        with pytest.raises(DomainError, match="integer multiples"):
+    @pytest.mark.parametrize("time_step", [3e-3, 1e-2])   # 0.1 h is 33.3 and 10 steps
+    def test_representation_steps_must_nest(self, ref_model, time_step):
+        cfg = ip.McConfig(n_paths=100, seed=0, time_step=time_step)
+        with pytest.raises(DomainError, match=r"whole number of 4 \* cfg.time_step"):
             ip.euler_representation_error(ref_model, 268.0, 100.0, span=0.1, cfg=cfg,
-                                          x_t0=0.0, h_list=[1e-2, 4e-3])
-        with pytest.raises(DomainError, match="integer number of fine steps"):
-            ip.euler_representation_error(ref_model, 268.0, 100.0, span=0.1, cfg=cfg,
-                                          x_t0=0.0, h_list=[3e-3])
+                                          x_t0=0.0)
 
 
 def test_mutation_drift_shifts_the_state_by_the_exact_law(ref_model):
@@ -207,6 +205,19 @@ class TestRiskPremiumOracle:
         result = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
         assert abs(result.cross_z) <= 3.0
 
+    def test_cross_check_is_the_third_check(self, ref_model, ref_theta):
+        cfg = ip.McConfig(n_paths=2_000, seed=19)
+        result = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
+        direct, weighted, cross = result.checks()
+        assert cross.name == "risk premium estimator cross-check"
+        assert cross.informational
+        assert cross.closed_form == result.direct.mean
+        assert cross.estimate.mean == result.weighted.mean
+        assert cross.estimate.std_error == math.hypot(result.direct.std_error,
+                                                      result.weighted.std_error)
+        assert result.cross_z == -cross.z
+        assert (direct.estimate, weighted.estimate) == (result.direct, result.weighted)
+
 
 class TestSuite:
     def test_everything_passes_and_report_formats(self, ref_model, ref_theta):
@@ -215,6 +226,17 @@ class TestSuite:
         assert ip.all_passed(checks)
         report = ip.format_report(checks)
         assert "verbatim" in report and "PASS" in report and "recorded" in report
+
+    def test_counted_and_recorded_checks(self, ref_model, ref_theta):
+        # recorded, not counted: the verbatim d_pm, which is expected to miss;
+        # the cross-check and the lognormal forward, which no model error
+        # the counted checks miss can move
+        cfg = ip.McConfig(n_paths=2_000, seed=0)
+        checks = ip.run_verification_suite(ref_model, ref_theta, cfg, nested_paths=500)
+        assert [c.name for c in checks if c.informational] == [
+            "risk premium estimator cross-check", "lognormal option call (verbatim d_pm)",
+            "lognormal forward unit drift"]
+        assert sum(not c.informational for c in checks) == 20
 
     def test_verbatim_variant_recorded_as_mismatch(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=120_000, seed=23)

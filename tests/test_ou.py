@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, EstimationError
+from intrinsicprice.ou import _sample_path
 
 
 class TestTransition:
@@ -65,15 +66,15 @@ class TestSimulate:
         params = ip.OuParams(lam=0.3, sigma=0.0, x0=5.0)
         grid = np.arange(0.0, 10.0)
         path = ip.simulate(params, grid, seed=1)
-        assert np.allclose(path.values, 5.0 * np.exp(-0.3 * grid), rtol=1e-13)
+        assert np.allclose(path, 5.0 * np.exp(-0.3 * grid), rtol=1e-13)
 
     def test_same_seed_same_path(self, ref_ou):
         grid = np.arange(0.0, 200.0)
         a = ip.simulate(ref_ou, grid, seed=42)
         b = ip.simulate(ref_ou, grid, seed=42)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = ip.simulate(ref_ou, grid, seed=43)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_sample_mean_matches_transition_mean(self, ref_ou, rng):
         # 10^5 endpoint draws vs the one-day conditional mean, within 3 SE
@@ -94,19 +95,22 @@ class TestSimulate:
         with pytest.raises(DomainError, match="seed must be non-negative"):
             ip.simulate(ref_ou, np.arange(0.0, 5.0), seed=-1)
 
-    def test_path_type_validation(self):
-        with pytest.raises(DomainError):
-            ip.OuPath(times=np.array([0.0, 1.0]), values=np.array([1.0]))
+    def test_returns_the_sampler_values(self, ref_ou):
+        grid = np.arange(0.0, 50.0)
+        path = ip.simulate(ref_ou, grid, seed=4)
+        assert type(path) is np.ndarray
+        assert np.array_equal(path, _sample_path(ref_ou, np.diff(grid),
+                                                 np.random.default_rng(4)))
 
 
 class TestMleFit:
     def test_round_trip_on_simulated_sample(self, ref_ou):
         grid = np.arange(0.0, 100_000.0)
         path = ip.simulate(ref_ou, grid, seed=7)
-        fitted = ip.fit_mle(path.values, dt=1.0)
+        fitted = ip.fit_mle(path, dt=1.0)
         assert abs(fitted.lam / ref_ou.lam - 1.0) < 0.10
         assert abs(fitted.sigma / ref_ou.sigma - 1.0) < 0.05
-        assert fitted.x0 == path.values[0]
+        assert fitted.x0 == path[0]
 
     def test_constant_series_rejected(self):
         with pytest.raises(EstimationError, match="non-mean-reverting"):
@@ -118,7 +122,7 @@ class TestMleFit:
         # near-white-noise sample: tiny positive AR coefficient is accepted
         fast = ip.OuParams(lam=5.0, sigma=1.0, x0=0.0)
         path = ip.simulate(fast, np.arange(0.0, 50_000.0), seed=3)
-        fitted = ip.fit_mle(path.values, dt=1.0)
+        fitted = ip.fit_mle(path, dt=1.0)
         assert fitted.lam > 2.0
 
     def test_sign_flipping_sample_rejected(self):
@@ -138,7 +142,7 @@ class TestMleFit:
             errs = []
             for seed in range(5):
                 path = ip.simulate(ref_ou, np.arange(0.0, float(n)), seed=seed)
-                fitted = ip.fit_mle(path.values, dt=1.0)
+                fitted = ip.fit_mle(path, dt=1.0)
                 errs.append(abs(fitted.lam - ref_ou.lam))
             errors[n] = np.mean(errs)
         assert errors[100_000] < errors[10_000]
