@@ -41,7 +41,6 @@ cfg = ip.McConfig(n_paths=500_000, seed=3)
 result = ip.mc_risk_premium(model, theta, tau - 168.0, tau, 0.0, cfg)
 print("closed form %.5f" % result.closed_form)
 print(ip.format_report(result.checks()))
-print("estimator cross-check z = %+.2f" % result.cross_z)
 print()
 
 # theta sweep at a fixed horizon: the premium scales almost linearly

@@ -8,11 +8,10 @@ the model to hourly market data; and a Monte Carlo engine independently
 verifies every closed form.
 """
 
-from .calibration import (CalibrationDiagnostics, CalibrationResult, MarketSeries,
-                          PricingObjective, calibrate, calibrate_supply_theta,
-                          fit_load_seasonality, fit_ou, fit_price_seasonality,
-                          implied_theta_monthly, initial_supply_guess,
-                          model_spot_prices, numerical_gradient, pricing_objective)
+from .calibration import (MarketSeries, PricingObjective, calibrate,
+                          calibrate_supply_theta, fit_load_seasonality, fit_ou,
+                          fit_price_seasonality, implied_theta_monthly,
+                          initial_supply_guess, numerical_gradient)
 from .conventions import DeliverySet, MarketConventions, discount, load_conventions
 from .data import (generate_synthetic, load_series, price_coverage, reference_model,
                    write_series)
@@ -26,7 +25,7 @@ from .model import (ModelQ, SupplyParams, day_ahead_price, forward_price,
                     supply_leg_expectation, tradable_price)
 from .options import (LognormalOptionInputs, NormalOptionInputs, bachelier_call,
                       bachelier_put, black76_call, black76_put, integrated_vol)
-from .oracle import (McConfig, McEstimate, OracleCheck, RiskPremiumMc, all_passed,
+from .oracle import (McConfig, McEstimate, OracleCheck, all_passed,
                      euler_representation_error, format_report, mc_day_ahead_tower,
                      mc_density_unit_mean, mc_forward, mc_futures,
                      mc_futures_martingale, mc_girsanov_moments,

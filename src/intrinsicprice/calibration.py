@@ -266,13 +266,6 @@ class PricingObjective:
         return value, -grad / (2.0 * self.n_obs * root)
 
 
-def pricing_objective(supply: SupplyParams, theta: float, series: MarketSeries,
-                      g_tilde: SeasonalityModel, ou: OuParams, gamma3: SeasonalityModel,
-                      conv: MarketConventions) -> float:
-    """One-shot evaluation of the stage-3 objective (see :class:`PricingObjective`)."""
-    return PricingObjective(series, g_tilde, ou, gamma3, conv)(supply, theta)
-
-
 def numerical_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient with per-coordinate steps
     ``rel_step * max(|x_i|, 1)``."""

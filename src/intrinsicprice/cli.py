@@ -138,13 +138,7 @@ def _seed(text: str) -> int:
 
 
 def _load_calendar_arg(args) -> Calendar:
-    return load_calendar(args.calendar) if getattr(args, "calendar", None) else Calendar()
-
-
-def _load_conventions_arg(args) -> MarketConventions:
-    if getattr(args, "conventions", None):
-        return load_conventions(args.conventions)
-    return MarketConventions()
+    return load_calendar(args.calendar) if args.calendar else Calendar()
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +177,7 @@ def _cmd_fit_ou(args) -> int:
 def _cmd_calibrate(args) -> int:
     series = data.load_series(args.data)
     cal = _load_calendar_arg(args)
-    conv = _load_conventions_arg(args)
+    conv = load_conventions(args.conventions) if args.conventions else MarketConventions()
     coverage = data.price_coverage(series)
     for name, info in coverage.items():
         print(f"{name}: {info['present']} quoted hours "

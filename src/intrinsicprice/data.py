@@ -200,11 +200,11 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     The load is the real-world seasonality (first-order shape derived
     from the model and ``theta``) plus a simulated centred deviation; the
     quotes are the model's intraday and day-ahead prices at the observed
-    states plus independent Gaussian noise.  ``noise_sd`` is one value or
-    an ``(intraday, day_ahead)`` pair.  ``monthly_theta`` optionally
-    overrides the pricing ``theta`` per delivery month ("YYYY-MM" keys);
-    the load seasonality keeps using the scalar ``theta``.  Deterministic
-    for a fixed seed.
+    states plus independent Gaussian noise.  ``noise_sd`` is one
+    non-negative finite value or an ``(intraday, day_ahead)`` pair of them.
+    ``monthly_theta`` optionally overrides the pricing ``theta`` per
+    delivery month ("YYYY-MM" keys); the load seasonality keeps using the
+    scalar ``theta``.  Deterministic for a fixed seed.
     """
     n = int(span_hours)
     if n < 720:
@@ -213,9 +213,13 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     if conv.delta != int(conv.delta) or conv.epsilon != int(conv.epsilon):
         raise DomainError("synthetic generation assumes whole-hour delta and epsilon")
     try:
-        sd_intraday, sd_day_ahead = noise_sd
-    except TypeError:
-        sd_intraday = sd_day_ahead = float(noise_sd)
+        sd = np.asarray(noise_sd, dtype=float)
+    except (TypeError, ValueError):
+        sd = np.array(np.nan)
+    if sd.shape not in ((), (2,)) or not np.all(np.isfinite(sd) & (sd >= 0.0)):
+        raise DomainError("noise_sd must be one non-negative finite number or a pair of them, "
+                          f"got {noise_sd!r}")
+    sd_intraday, sd_day_ahead = np.broadcast_to(sd, 2)
 
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")

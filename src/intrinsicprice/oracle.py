@@ -229,10 +229,6 @@ class RiskPremiumMc:
     direct: McEstimate
     weighted: McEstimate
 
-    @property
-    def cross_z(self) -> float:
-        return -self.checks()[2].z
-
     def checks(self) -> list[OracleCheck]:
         """Each estimator against the closed form, then the one against the
         other.  The cross-check is recorded, not counted: an error in one

@@ -202,8 +202,8 @@ class TestCriterion4CalibrationRoundTrip:
         model, theta = model_and_theta
         series = ip.generate_synthetic(model, theta, 3 * 720, 0.0, seed=0)
         g_tilde = ip.p_seasonality_from_q(model.load_seasonality, model.ou, theta)
-        value = ip.pricing_objective(model.supply, theta, series, g_tilde, model.ou,
-                                     model.price_seasonality, model.conv)
+        value = PricingObjective(series, g_tilde, model.ou, model.price_seasonality,
+                                 model.conv)(model.supply, theta)
         ok = report(4, "noise-free objective vanishes at the true parameters",
                     value < 1e-8, f"objective {value:.3g}")
         assert ok

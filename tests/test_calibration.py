@@ -64,8 +64,8 @@ class TestMarketSeries:
 class TestPricingObjective:
     def test_zero_at_true_parameters(self, ref_model, ref_theta, synthetic):
         series, g_tilde = synthetic
-        value = ip.pricing_objective(ref_model.supply, ref_theta, series, g_tilde,
-                                     ref_model.ou, ref_model.price_seasonality, ref_model.conv)
+        value = PricingObjective(series, g_tilde, ref_model.ou, ref_model.price_seasonality,
+                                 ref_model.conv)(ref_model.supply, ref_theta)
         assert value < 1e-8
 
     def test_single_observation_arithmetic(self, ref_model, ref_theta, synthetic):
@@ -78,8 +78,8 @@ class TestPricingObjective:
         day_ahead[row] = series.day_ahead[row]
         bumped = ip.MarketSeries(epoch=series.epoch, taus=series.taus, load=series.load,
                                  day_ahead=day_ahead, intraday=intraday)
-        value = ip.pricing_objective(ref_model.supply, ref_theta, bumped, g_tilde,
-                                     ref_model.ou, ref_model.price_seasonality, ref_model.conv)
+        value = PricingObjective(bumped, g_tilde, ref_model.ou, ref_model.price_seasonality,
+                                 ref_model.conv)(ref_model.supply, ref_theta)
         assert value == pytest.approx(1.0, abs=1e-7)
 
     def test_overflow_hits_penalty_not_exception(self, ref_model, ref_theta, synthetic):

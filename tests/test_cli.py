@@ -74,6 +74,15 @@ class TestSimulate:
         series = ip.load_series(out1)
         assert len(series) == 800
 
+    @pytest.mark.parametrize("flag", ["--noise", "--noise-day-ahead"])
+    def test_negative_noise_is_usage_error(self, flag, tmp_path, params_file, capsys):
+        out = tmp_path / "a.csv"
+        code = cli.main(["simulate", "--params", str(params_file), "--span", "800",
+                         flag, "-0.5", "--out", str(out)])
+        assert code == 2
+        assert "noise_sd must be one non-negative finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommands:
     def test_fit_seasonality_report_round_trips(self, tmp_path, data_file):
@@ -107,6 +116,21 @@ class TestCalibrate:
         assert abs(float(values["theta"]) - ref_theta) < 0.002
         model, theta = cli.load_model_file(fitted)
         assert theta == float(values["theta"])
+
+    def test_full_pipeline_fits_gamma3(self, tmp_path, data_file):
+        # without --gamma3 the price seasonality is fitted too, and it takes
+        # up part of the supply curve: alpha1 and theta are not recovered to
+        # the bounds above, so only the stages before the supply fit are held
+        report = tmp_path / "calibration.txt"
+        assert cli.main(["calibrate", "--data", str(data_file), "--out", str(report)]) == 0
+        values = dict(line.split() for line in report.read_text().splitlines())
+        assert list(values) == ["lambda", "sigma", "x0", "alpha1", "alpha2", "beta1", "beta2",
+                                "theta", "objective_value", "iterations", "converged",
+                                "overflow_evaluations"]
+        assert float(values["lambda"]) == pytest.approx(0.0298, rel=0.15)
+        assert float(values["sigma"]) == pytest.approx(1.4988, rel=0.10)
+        assert values["converged"] == "True"
+        assert float(values["alpha1"]) > 0 > float(values["alpha2"])
 
 
 class TestPrice:

@@ -378,6 +378,12 @@ class TestGenerateSynthetic:
         assert np.allclose(quiet.intraday, clean.intraday, atol=1e-12)
         assert not np.allclose(quiet.day_ahead[24:], clean.day_ahead[24:], atol=0.5)
 
+    @pytest.mark.parametrize("noise_sd", [-0.5, (0.5, -1.0), (0.5, np.inf), np.nan,
+                                          (0.1, 0.2, 0.3), "ab", "abc"])
+    def test_bad_noise_sd_rejected(self, ref_model, ref_theta, noise_sd):
+        with pytest.raises(DomainError, match="noise_sd must be one non-negative finite"):
+            ip.generate_synthetic(ref_model, ref_theta, 720, noise_sd, seed=0)
+
     def test_negative_seed_rejected(self, ref_model, ref_theta):
         with pytest.raises(DomainError, match="seed must be non-negative"):
             ip.generate_synthetic(ref_model, ref_theta, 720, 0.5, seed=-1)

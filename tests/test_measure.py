@@ -198,7 +198,7 @@ class TestRiskPremium:
         cfg = ip.McConfig(n_paths=400_000, seed=21)
         result = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
         assert all(c.passed for c in result.checks())
-        assert abs(result.cross_z) <= 3.0
+        assert abs(result.checks()[2].z) <= 3.0
 
     def test_sign_near_delivery_with_negative_theta(self, ref_model, ref_theta):
         # a negative parameter depresses quotes near delivery relative to the

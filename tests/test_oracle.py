@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import intrinsicprice as ip
-from intrinsicprice import DomainError
+from intrinsicprice import DomainError, cli
 from intrinsicprice.oracle import _w_walk
 
 
@@ -203,7 +204,7 @@ class TestRiskPremiumOracle:
     def test_estimator_cross_check(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=200_000, seed=19)
         result = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
-        assert abs(result.cross_z) <= 3.0
+        assert abs(result.checks()[2].z) <= 3.0
 
     def test_cross_check_is_the_third_check(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=2_000, seed=19)
@@ -215,8 +216,35 @@ class TestRiskPremiumOracle:
         assert cross.estimate.mean == result.weighted.mean
         assert cross.estimate.std_error == math.hypot(result.direct.std_error,
                                                       result.weighted.std_error)
-        assert result.cross_z == -cross.z
         assert (direct.estimate, weighted.estimate) == (result.direct, result.weighted)
+
+
+class TestTailDrawOverflow:
+    # alpha1 = 1 puts leg 1's exponent at 680 at the expected delivery load:
+    # the closed form adds half the state variance (18.85) and stays under
+    # the 700 cap, while a draw 3.3 sd up crosses it, about once in 1,800 paths
+    TAU = 2160.0
+
+    @pytest.fixture(scope="class")
+    def hot_model(self, ref_model):
+        g = float(ip.evaluate(ref_model.load_seasonality, self.TAU + ref_model.conv.epsilon))
+        supply = dataclasses.replace(ref_model.supply, alpha1=1.0, beta1=g - 680.0)
+        return dataclasses.replace(ref_model, supply=supply)
+
+    def test_batch_draw_raises_numeric_error(self, hot_model):
+        t = self.TAU - 168.0
+        assert math.isfinite(ip.forward_price(hot_model, t, self.TAU, 0.0))
+        with pytest.raises(ip.NumericError, match="supply leg 1: exponent magnitude"):
+            ip.mc_forward(hot_model, t, self.TAU, 0.0, ip.McConfig(n_paths=20_000, seed=0))
+
+    def test_verify_reports_it_as_one_error_line(self, hot_model, ref_theta, tmp_path, capsys):
+        params = tmp_path / "hot.json"
+        params.write_text(json.dumps(cli.model_to_params(hot_model, ref_theta)))
+        code = cli.main(["verify", "--params", str(params), "--paths", "20000",
+                         "--nested-paths", "20000", "--seed", "0"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: supply leg 1: exponent")
 
 
 class TestSuite:
