@@ -38,9 +38,9 @@ print()
 # two independent estimators: direct real-world simulation, and
 # pricing-measure simulation reweighted by the density process
 cfg = ip.McConfig(n_paths=500_000, seed=3)
-result = ip.mc_risk_premium(model, theta, tau - 168.0, tau, 0.0, cfg)
-print("closed form %.5f" % result.closed_form)
-print(ip.format_report(result.checks()))
+checks = ip.mc_risk_premium(model, theta, tau - 168.0, tau, 0.0, cfg)
+print("closed form %.5f" % checks[0].closed_form)
+print(ip.format_report(checks))
 print()
 
 # theta sweep at a fixed horizon: the premium scales almost linearly

@@ -30,7 +30,7 @@ rows = [
     ("alpha2", model.supply.alpha2, result.supply.alpha2),
     ("beta1", model.supply.beta1, result.supply.beta1),
     ("beta2", model.supply.beta2, result.supply.beta2),
-    ("theta", theta, result.theta.theta),
+    ("theta", theta, result.theta),
 ]
 print()
 print("parameter     true      fitted")

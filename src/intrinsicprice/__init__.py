@@ -16,9 +16,9 @@ from .conventions import DeliverySet, MarketConventions, discount, load_conventi
 from .data import (generate_synthetic, load_series, price_coverage, reference_model,
                    write_series)
 from .errors import DomainError, EstimationError, NumericError, ParseError
-from .measure import (GirsanovParam, p_seasonality_from_q, q_seasonality_from_p,
-                      radon_nikodym_path, risk_premium,
-                      supply_leg_real_world_expectation, to_risk_neutral_state)
+from .measure import (p_seasonality_from_q, q_seasonality_from_p, radon_nikodym_path,
+                      risk_premium, supply_leg_real_world_expectation,
+                      to_risk_neutral_state)
 from .model import (ModelQ, SupplyParams, day_ahead_price, forward_price,
                     futures_price, intraday_price, intrinsic_price,
                     price_generating, required_state_times,

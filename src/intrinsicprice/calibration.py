@@ -25,7 +25,6 @@ import numpy as np
 
 from .conventions import MarketConventions
 from .errors import DomainError, EstimationError, NumericError
-from .measure import GirsanovParam
 from .model import SupplyParams, _leg_moments
 from .ou import OuParams, fit_mle
 from .seasonality import (Calendar, SeasonalityModel, _month_keys, evaluate, fit,
@@ -92,11 +91,13 @@ class CalibrationResult:
     ou: OuParams
     gamma3: SeasonalityModel
     supply: SupplyParams
-    theta: GirsanovParam
+    theta: float
     objective_value: float
     diagnostics: CalibrationDiagnostics
 
     def __post_init__(self):
+        if not np.isfinite(self.theta):
+            raise DomainError(f"theta must be finite, got {self.theta}")
         if self.objective_value < 0:
             raise DomainError("objective value cannot be negative")
 
@@ -327,7 +328,7 @@ def calibrate_supply_theta(series: MarketSeries, g_tilde: SeasonalityModel, ou: 
         iterations=int(result.nit), converged=converged,
         message=str(result.message), overflow_evaluations=objective.overflow_evaluations)
     return CalibrationResult(g_tilde=g_tilde, ou=ou, gamma3=gamma3, supply=supply,
-                             theta=GirsanovParam(theta), objective_value=float(result.fun),
+                             theta=theta, objective_value=float(result.fun),
                              diagnostics=diagnostics)
 
 
@@ -379,8 +380,7 @@ def initial_supply_guess(series: MarketSeries, gamma3: SeasonalityModel,
 
 
 def calibrate(series: MarketSeries, cal: Calendar, conv: MarketConventions,
-              gamma3: SeasonalityModel | None = None,
-              init_theta: float = 0.0) -> CalibrationResult:
+              gamma3: SeasonalityModel | None = None) -> CalibrationResult:
     """Full pipeline: load seasonality, OU fit, price seasonality (unless a
     known one is supplied), direct supply guess, then the joint
     supply/theta optimisation."""
@@ -389,7 +389,7 @@ def calibrate(series: MarketSeries, cal: Calendar, conv: MarketConventions,
     if gamma3 is None:
         gamma3 = fit_price_seasonality(series, cal, conv)
     return calibrate_supply_theta(series, g_tilde, ou, gamma3, conv,
-                                  initial_supply_guess(series, gamma3, conv), init_theta)
+                                  initial_supply_guess(series, gamma3, conv))
 
 
 def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,

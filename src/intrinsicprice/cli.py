@@ -41,9 +41,11 @@ def _seasonality_to_dict(model: SeasonalityModel) -> dict:
     }
 
 
-def _seasonality_from_dict(d: dict, cal: Calendar, epoch: _dt.date) -> SeasonalityModel:
+def _seasonality_from_dict(params: dict, name: str, cal: Calendar,
+                           epoch: _dt.date) -> SeasonalityModel:
+    d = params[name]
     return SeasonalityModel(
-        **{k: float(d[k]) for k in _SEASONALITY_KEYS},
+        **{k: _finite(d[k], f"{name}.{k}") for k in _SEASONALITY_KEYS},
         dow_weights=np.asarray(d["dow_weights"], dtype=float),
         hod_weights=np.asarray(d["hod_weights"], dtype=float),
         calendar=cal, epoch=epoch)
@@ -68,21 +70,34 @@ def model_to_params(model: ModelQ, theta: float) -> dict:
     }
 
 
+def _finite(value, name: str) -> float:
+    """A params number as a float, which must be neither NaN nor infinite
+    (JSON reads ``1e999`` as an infinity); an integer past the float range
+    raises ``OverflowError``, as the weight arrays do."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {number}")
+    return number
+
+
 def model_from_params(params: dict) -> tuple[ModelQ, float]:
     try:
         epoch = _dt.date.fromisoformat(params["epoch"])
         cal_dict = params.get("calendar", {})
         cal = Calendar(**{name: frozenset(map(_dt.date.fromisoformat, cal_dict.get(tag, [])))
                           for tag, name in _CALENDAR_TAGS.items()})
-        conv = MarketConventions(**params.get("conventions", {}))
+        conv = MarketConventions(**{k: _finite(v, f"conventions.{k}")
+                                    for k, v in params.get("conventions", {}).items()})
         ou_d = params["ou"]
-        ou = OuParams(lam=float(ou_d["lambda"]), sigma=float(ou_d["sigma"]),
-                      x0=float(ou_d.get("x0", 0.0)))
-        supply = SupplyParams(**{k: float(v) for k, v in params["supply"].items()})
-        g = _seasonality_from_dict(params["load_seasonality"], cal, epoch)
-        gamma3 = _seasonality_from_dict(params["price_seasonality"], cal, epoch)
-        theta = float(params["theta"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        ou = OuParams(lam=_finite(ou_d["lambda"], "ou.lambda"),
+                      sigma=_finite(ou_d["sigma"], "ou.sigma"),
+                      x0=_finite(ou_d.get("x0", 0.0), "ou.x0"))
+        supply = SupplyParams(**{k: _finite(v, f"supply.{k}")
+                                 for k, v in params["supply"].items()})
+        g = _seasonality_from_dict(params, "load_seasonality", cal, epoch)
+        gamma3 = _seasonality_from_dict(params, "price_seasonality", cal, epoch)
+        theta = _finite(params["theta"], "theta")
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed params file: {exc!r}") from exc
     return ModelQ(ou=ou, supply=supply, load_seasonality=g,
                   price_seasonality=gamma3, conv=conv), theta
@@ -183,12 +198,11 @@ def _cmd_calibrate(args) -> int:
         print(f"{name}: {info['present']} quoted hours "
               f"({info['first']} .. {info['last']}), {info['missing']} missing")
     gamma3 = read_seasonality_report(args.gamma3, cal) if args.gamma3 else None
-    result = calibration.calibrate(series, cal, conv, gamma3=gamma3,
-                                   init_theta=args.init_theta)
+    result = calibration.calibrate(series, cal, conv, gamma3=gamma3)
     pairs = [("lambda", result.ou.lam), ("sigma", result.ou.sigma), ("x0", result.ou.x0),
              ("alpha1", result.supply.alpha1), ("alpha2", result.supply.alpha2),
              ("beta1", result.supply.beta1), ("beta2", result.supply.beta2),
-             ("theta", result.theta.theta), ("objective_value", result.objective_value),
+             ("theta", result.theta), ("objective_value", result.objective_value),
              ("iterations", result.diagnostics.iterations),
              ("converged", result.diagnostics.converged),
              ("overflow_evaluations", result.diagnostics.overflow_evaluations)]
@@ -197,10 +211,10 @@ def _cmd_calibrate(args) -> int:
     if args.params_out:
         model = ModelQ(ou=result.ou, supply=result.supply,
                        load_seasonality=q_seasonality_from_p(
-                           result.g_tilde, result.ou, result.theta.theta),
+                           result.g_tilde, result.ou, result.theta),
                        price_seasonality=result.gamma3, conv=conv)
         Path(args.params_out).write_text(
-            json.dumps(model_to_params(model, result.theta.theta), indent=2) + "\n")
+            json.dumps(model_to_params(model, result.theta), indent=2) + "\n")
         print(f"wrote fitted model params to {args.params_out}")
     if not result.diagnostics.converged:
         print("warning: optimiser did not reach the gradient tolerance", file=sys.stderr)
@@ -318,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conventions", default=None)
     p.add_argument("--gamma3", default=None,
                    help="seasonality report file fixing the price seasonality")
-    p.add_argument("--init-theta", type=_finite_float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--params-out", default=None,
                    help="also write the fitted model as a params JSON")

@@ -18,25 +18,12 @@ when ``theta = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
 from .model import ModelQ, _legs, _pick_leg
 from .ou import OuParams
 from .seasonality import SeasonalityModel
-
-
-@dataclass(frozen=True)
-class GirsanovParam:
-    """Constant measure-change parameter; the drift rate is ``lam * theta``."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.theta):
-            raise DomainError(f"theta must be finite, got {self.theta}")
 
 
 def to_risk_neutral_state(x_tilde, ou: OuParams, theta: float, tau,

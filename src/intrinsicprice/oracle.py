@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conventions import DeliverySet
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .measure import _terminal_density, risk_premium, to_risk_neutral_state
 from .model import (ModelQ, forward_price, futures_price, intraday_price,
                     day_ahead_price, intrinsic_price, price_generating,
@@ -101,15 +101,21 @@ def all_passed(checks) -> bool:
 
 def _run_batches(cfg: McConfig, n_normals: int, values_fn) -> McEstimate:
     """Estimate the mean of ``values_fn(Z)`` over standard-normal draws
-    ``Z`` of shape (paths, n_normals)."""
+    ``Z`` of shape (paths, n_normals).  A sum or sum of squares that is not
+    finite, as when path values are finite but their squares overflow, is
+    a ``NumericError``."""
     n = cfg.n_paths
     total = 0.0
     total_sq = 0.0
     for k, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(-(-n // _BATCH))):
         z = np.random.default_rng(child).standard_normal((min(_BATCH, n - k * _BATCH), n_normals))
         units = np.asarray(values_fn(z), dtype=float)
-        total += float(units.sum())
-        total_sq += float(units @ units)
+        with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
+            total += float(units.sum())
+            total_sq += float(units @ units)
+    if not (math.isfinite(total) and math.isfinite(total_sq)):
+        raise NumericError(f"Monte Carlo sums are not finite: sum {total!r}, "
+                           f"sum of squares {total_sq!r}")
 
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
@@ -216,37 +222,17 @@ def mc_futures(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
 # risk premium estimators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RiskPremiumMc:
-    """Two independent premium estimators plus the closed form.
-
-    ``direct`` simulates the deseasonalised deviation under the
-    real-world dynamics and maps it to the driver with the exact shift;
-    ``weighted`` samples under the pricing measure and reweights by the
-    density process.  The two must agree within their joint error."""
-
-    closed_form: float
-    direct: McEstimate
-    weighted: McEstimate
-
-    def checks(self) -> list[OracleCheck]:
-        """Each estimator against the closed form, then the one against the
-        other.  The cross-check is recorded, not counted: an error in one
-        estimator already fails its own check, and one common to both (as
-        the mutation drift is) moves both alike."""
-        joint = McEstimate(mean=self.weighted.mean,
-                           std_error=math.hypot(self.direct.std_error, self.weighted.std_error),
-                           n_paths=self.weighted.n_paths)
-        return [
-            OracleCheck("risk premium (direct real-world MC)", self.closed_form, self.direct),
-            OracleCheck("risk premium (density-weighted MC)", self.closed_form, self.weighted),
-            OracleCheck("risk premium estimator cross-check", self.direct.mean, joint,
-                        informational=True),
-        ]
-
-
 def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
-                    x_tilde_t: float, cfg: McConfig) -> RiskPremiumMc:
+                    x_tilde_t: float, cfg: McConfig) -> list[OracleCheck]:
+    """Two independent premium estimators against the closed form, then the
+    one against the other.
+
+    ``direct`` simulates the deseasonalised deviation under the real-world
+    dynamics and maps it to the driver with the exact shift; ``weighted``
+    samples under the pricing measure and reweights by the density
+    process.  The cross-check is recorded, not counted: an error in one
+    estimator already fails its own check, and one common to both (as the
+    mutation drift is) moves both alike."""
     if t > tau:
         raise DomainError("mc_risk_premium requires t <= tau")
     ou = model.ou
@@ -272,9 +258,17 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
     est_b = _run_batches(weighted_cfg, 2, values_weighted)
 
     closed = risk_premium(model, theta, t, tau, x_tilde_t)
-    return RiskPremiumMc(closed_form=closed,
-                         direct=_scale(est_a, -1.0, offset=f_t),
-                         weighted=_scale(est_b, -1.0, offset=f_t))
+    direct = _scale(est_a, -1.0, offset=f_t)
+    weighted = _scale(est_b, -1.0, offset=f_t)
+    joint = McEstimate(mean=weighted.mean,
+                       std_error=math.hypot(direct.std_error, weighted.std_error),
+                       n_paths=weighted.n_paths)
+    return [
+        OracleCheck("risk premium (direct real-world MC)", closed, direct),
+        OracleCheck("risk premium (density-weighted MC)", closed, weighted),
+        OracleCheck("risk premium estimator cross-check", direct.mean, joint,
+                    informational=True),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +483,15 @@ def euler_representation_error(model: ModelQ, tau: float, t0: float, span: float
         dw, states = _w_walk(model.ou, x_t0, h_fine, z_w, rng.standard_normal((m, n_fine)))
         x = [x_t0] + states
         df = forward_price(model, t0 + span, tau, x[-1]) - forward_price(model, t0, tau, x[0])
-        for i, fac in enumerate(factors):
-            dw_coarse = dw.reshape(m, n_fine // fac, fac).sum(axis=2)
-            total = np.zeros(m)
-            for j, k in enumerate(range(0, n_fine, fac)):
-                t_k = t0 + k * h_fine
-                total += price_generating(model, t_k, tau, x[k]) * dw_coarse[:, j]
+        dw_coarse = [dw.reshape(m, n_fine // fac, fac).sum(axis=2) for fac in factors]
+        totals = [np.zeros(m) for _ in factors]
+        for k in range(n_fine):
+            # the integrand at fine step k serves every step size that starts there
+            integrand = price_generating(model, t0 + k * h_fine, tau, x[k])
+            for fac, dw_c, total in zip(factors, dw_coarse, totals):
+                if k % fac == 0:
+                    total += integrand * dw_c[:, k // fac]
+        for i, total in enumerate(totals):
             sums[i] += float(np.abs(df - total).sum())
         done += m
     return {fac * h_fine: err / cfg.n_paths for fac, err in zip(factors, sums)}
@@ -538,8 +535,7 @@ def run_verification_suite(model: ModelQ, theta: float, cfg: McConfig,
         futures_price(model, t_fut, strip, {t_fut: x_ref}),
         mc_futures(model, t_fut, strip, x_ref, cfg)))
 
-    premium = mc_risk_premium(model, theta, tau - 168.0, tau, x_ref, cfg)
-    checks.extend(premium.checks())
+    checks.extend(mc_risk_premium(model, theta, tau - 168.0, tau, x_ref, cfg))
 
     checks.append(mc_density_unit_mean(ou, theta, 168.0, cfg))
     checks.extend(mc_girsanov_moments(ou, theta, 96.0, cfg))

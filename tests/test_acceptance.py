@@ -187,7 +187,7 @@ class TestCriterion4CalibrationRoundTrip:
                 abs(s.alpha2 / model.supply.alpha2 - 1.0) < 0.15,
                 abs(s.beta1 - model.supply.beta1) < 2.0,
                 abs(s.beta2 - model.supply.beta2) < 2.0,
-                abs(result.theta.theta - theta) < 0.002,
+                abs(result.theta - theta) < 0.002,
             ]
             passes += all(checks)
             details.append("".join("y" if c else "N" for c in checks))
@@ -248,15 +248,14 @@ class TestCriterion5NegativePremiumPath:
                                 f"non-negative (max {closed.max():+.4f})")
             for t in (grid[0], grid[-1]):
                 cfg = ip.McConfig(n_paths=PATHS, seed=105 + int(t) % 7)
-                result = ip.mc_risk_premium(model, theta, float(t), tau, x_tilde, cfg)
-                agree = abs(result.direct.mean - result.closed_form) \
-                    <= 3 * result.direct.std_error
-                negative = result.direct.mean + 3 * result.direct.std_error < 0.0
+                direct = ip.mc_risk_premium(model, theta, float(t), tau, x_tilde, cfg)[0]
+                est = direct.estimate
+                agree = abs(est.mean - direct.closed_form) <= 3 * est.std_error
+                negative = est.mean + 3 * est.std_error < 0.0
                 mc_confirmations.append((label, t - tau, agree, negative))
                 if not negative:
                     failures.append(f"{label} t-tau={t - tau:+.0f}h: MC premium "
-                                    f"{result.direct.mean:+.4f} "
-                                    f"(se {result.direct.std_error:.4f}) not negative")
+                                    f"{est.mean:+.4f} (se {est.std_error:.4f}) not negative")
         oracle_consistent = all(a for _, _, a, _ in mc_confirmations)
         ok = report(5, "negative premium at every point of the 2000h window",
                     not failures and oracle_consistent,

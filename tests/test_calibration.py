@@ -369,7 +369,7 @@ class TestFullPipelineAndMonthlyTheta:
                               gamma3=ref_model.price_seasonality)
         assert result.diagnostics.converged
         assert abs(result.supply.alpha1 / 0.1949 - 1.0) < 0.15
-        assert abs(result.theta.theta - ref_theta) < 0.002
+        assert abs(result.theta - ref_theta) < 0.002
 
     def test_monthly_theta_piecewise_recovery(self, ref_model):
         monthly = {"2015-01": -0.03, "2015-02": 0.0, "2015-03": 0.01}

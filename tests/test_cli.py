@@ -47,6 +47,20 @@ class TestParamsRoundTrip:
         with pytest.raises(ip.ParseError, match="malformed"):
             cli.model_from_params(blob)
 
+    # JSON reads NaN as a float, 1e999 as an infinity and a long integer as an int
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "theta", float("nan")), ("ou", "sigma", float("nan")),
+        ("load_seasonality", "level", float("nan")), (None, "theta", float("inf")),
+        (None, "theta", 10**400), ("conventions", "delta", float("inf")),
+        ("supply", "beta1", -float("inf")),
+    ], ids=["theta-nan", "sigma-nan", "level-nan", "theta-inf", "theta-long-int",
+            "delta-inf", "beta1-minus-inf"])
+    def test_non_finite_params_rejected(self, ref_model, ref_theta, section, key, value):
+        blob = cli.model_to_params(ref_model, ref_theta)
+        (blob if section is None else blob[section])[key] = value
+        with pytest.raises(ip.ParseError, match="malformed params file"):
+            cli.model_from_params(blob)
+
     def test_calendar_round_trip_with_every_tag(self, tmp_path, ref_model, ref_theta):
         path = tmp_path / "cal.txt"
         path.write_text("2015-12-25 holiday\n2015-12-24 partial\n2015-12-28 bridge\n")
@@ -334,6 +348,17 @@ class TestBadInputFiles:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
+
+    def test_params_number_past_the_float_range(self, tmp_path, ref_model, capsys):
+        params = tmp_path / "long.json"
+        params.write_text(json.dumps(cli.model_to_params(ref_model, 0.0)).replace(
+            '"theta": 0.0', '"theta": 1' + "0" * 400))
+        out = tmp_path / "premium.csv"
+        code = cli.main(["risk-premium", "--params", str(params), "--tau", "2160",
+                         "--t-start", "1000", "--t-end", "2160", "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and not out.exists()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed params file")
 
     def test_output_path_that_is_a_directory(self, tmp_path, params_file, capsys):
         code = cli.main(["risk-premium", "--params", str(params_file), "--tau", "2160",

@@ -5,6 +5,7 @@ import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError
+from intrinsicprice.calibration import CalibrationDiagnostics, CalibrationResult
 from intrinsicprice.measure import _terminal_density
 
 
@@ -196,9 +197,9 @@ class TestRiskPremium:
 
     def test_against_monte_carlo_oracle(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=400_000, seed=21)
-        result = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
-        assert all(c.passed for c in result.checks())
-        assert abs(result.checks()[2].z) <= 3.0
+        checks = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
+        assert all(c.passed for c in checks)
+        assert abs(checks[2].z) <= 3.0
 
     def test_sign_near_delivery_with_negative_theta(self, ref_model, ref_theta):
         # a negative parameter depresses quotes near delivery relative to the
@@ -210,6 +211,9 @@ class TestRiskPremium:
         with pytest.raises(DomainError):
             ip.risk_premium(ref_model, 0.1, 270.0, 268.0, 0.0)
 
-    def test_girsanov_param_record(self):
-        with pytest.raises(DomainError):
-            ip.GirsanovParam(float("inf"))
+    def test_calibration_result_theta_must_be_finite(self, ref_model):
+        with pytest.raises(DomainError, match="theta must be finite, got inf"):
+            CalibrationResult(g_tilde=ref_model.load_seasonality, ou=ref_model.ou,
+                              gamma3=ref_model.price_seasonality, supply=ref_model.supply,
+                              theta=float("inf"), objective_value=0.0,
+                              diagnostics=CalibrationDiagnostics(iterations=0, converged=False))

@@ -197,26 +197,27 @@ def test_w_walk_draws_the_exact_joint_law(ref_ou):
 class TestRiskPremiumOracle:
     def test_zero_theta_estimators_near_zero(self, ref_model):
         cfg = ip.McConfig(n_paths=200_000, seed=18)
-        result = ip.mc_risk_premium(ref_model, 0.0, 200.0, 268.0, 0.5, cfg)
-        assert result.closed_form == 0.0
-        assert all(c.passed for c in result.checks())
+        checks = ip.mc_risk_premium(ref_model, 0.0, 200.0, 268.0, 0.5, cfg)
+        assert [c.closed_form for c in checks[:2]] == [0.0, 0.0]
+        assert all(c.passed for c in checks)
 
     def test_estimator_cross_check(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=200_000, seed=19)
-        result = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
-        assert abs(result.checks()[2].z) <= 3.0
+        checks = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
+        assert abs(checks[2].z) <= 3.0
 
     def test_cross_check_is_the_third_check(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=2_000, seed=19)
-        result = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
-        direct, weighted, cross = result.checks()
+        direct, weighted, cross = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0,
+                                                     0.5, cfg)
         assert cross.name == "risk premium estimator cross-check"
         assert cross.informational
-        assert cross.closed_form == result.direct.mean
-        assert cross.estimate.mean == result.weighted.mean
-        assert cross.estimate.std_error == math.hypot(result.direct.std_error,
-                                                      result.weighted.std_error)
-        assert (direct.estimate, weighted.estimate) == (result.direct, result.weighted)
+        assert not direct.informational and not weighted.informational
+        assert direct.closed_form == weighted.closed_form
+        assert cross.closed_form == direct.estimate.mean
+        assert cross.estimate.mean == weighted.estimate.mean
+        assert cross.estimate.std_error == math.hypot(direct.estimate.std_error,
+                                                      weighted.estimate.std_error)
 
 
 class TestTailDrawOverflow:
@@ -245,6 +246,22 @@ class TestTailDrawOverflow:
         lines = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("error: supply leg 1: exponent")
+
+    def test_overflowing_sum_of_squares_raises(self, hot_model, ref_theta, tmp_path, capsys):
+        # exponent 672 (closed forward 1.07e300): no draw of 2,000 reaches
+        # the 700 cap, but the sum of their squares passes the float range
+        supply = dataclasses.replace(hot_model.supply, beta1=hot_model.supply.beta1 + 8.0)
+        warm = dataclasses.replace(hot_model, supply=supply)
+        with pytest.raises(ip.NumericError, match="sum of squares inf"):
+            ip.mc_forward(warm, self.TAU - 168.0, self.TAU, 0.0,
+                          ip.McConfig(n_paths=2_000, seed=0))
+        params = tmp_path / "warm.json"
+        params.write_text(json.dumps(cli.model_to_params(warm, ref_theta)))
+        code = cli.main(["verify", "--params", str(params), "--paths", "2000",
+                         "--nested-paths", "2000", "--seed", "0"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: Monte Carlo sums are not finite")
 
 
 class TestSuite:

@@ -10,10 +10,13 @@ output directories.  The set:
 
 - ``verify --paths 300000`` at seed 0, and at seed 5 with ``--mutation 0.01``;
 - the stdout of the six demos, and the CSV that demo 03 writes;
-- ``price forward`` and ``price futures`` on a 744 h strip;
+- ``price forward``, ``price futures`` on a 744 h strip, and ``price option``
+  for both families, with and without ``--conventional``;
 - a ``risk-premium`` CSV;
 - ``simulate --span 26280 --seed 0`` and, on its CSV, ``calibrate`` (report,
-  stdout and ``--params-out`` JSON) and ``implied-theta``.
+  stdout and ``--params-out`` JSON), ``implied-theta``, ``fit-seasonality``,
+  ``fit-ou``, and ``calibrate --gamma3`` with the reference price seasonality
+  written as a seasonality report, in the format ``fit-seasonality`` writes.
 
 Each ``*.out`` file holds one command's stdout and ends with its exit code.
 """
@@ -29,15 +32,20 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-PARAMS_SCRIPT = """
+SETUP_SCRIPT = """
 import json
-from intrinsicprice.cli import model_to_params
+from intrinsicprice.cli import _seasonality_report_pairs, _write_report, model_to_params
 from intrinsicprice.data import reference_model
-print(json.dumps(model_to_params(*reference_model()), indent=2))
+model, theta = reference_model()
+with open("params.json", "w") as fh:
+    fh.write(json.dumps(model_to_params(model, theta), indent=2) + "\\n")
+_write_report("gamma3.txt", _seasonality_report_pairs(model.price_seasonality))
 """
 
 TAU = 2160.0                                   # a delivery 90 days past the epoch
 STRIP = [TAU + k for k in range(744)]          # one month of hours
+OPTION = ["price", "option", "--forward", "50", "--strike", "45", "--sigma-ut", "6",
+          "--var-integral", "0.04", "--span", "24", "--rate", "1e-7"]
 CLI_RUNS = [
     ("verify_seed0", ["verify", "--paths", "300000", "--seed", "0"]),
     ("verify_seed5_mutation", ["verify", "--paths", "300000", "--seed", "5",
@@ -47,6 +55,11 @@ CLI_RUNS = [
     ("price_futures", ["price", "futures", "--params", "params.json",
                        "--t", str(TAU - 72.0), "--x", "-2.0",
                        "--deliveries", ",".join(repr(h) for h in STRIP)]),
+    ("price_option_normal", [*OPTION, "--family", "normal"]),
+    ("price_option_normal_conventional", [*OPTION, "--family", "normal", "--conventional"]),
+    ("price_option_lognormal", [*OPTION, "--family", "lognormal"]),
+    ("price_option_lognormal_conventional", [*OPTION, "--family", "lognormal",
+                                             "--conventional"]),
     ("risk_premium", ["risk-premium", "--params", "params.json", "--tau", "21900",
                       "--t-start", "19900", "--t-end", "21900", "--t-step", "25",
                       "--out", "risk_premium.csv"]),
@@ -56,6 +69,12 @@ CLI_RUNS = [
                    "--params-out", "fitted_params.json"]),
     ("implied_theta", ["implied-theta", "--params", "fitted_params.json",
                        "--data", "series.csv", "--out", "implied_theta.csv"]),
+    ("fit_seasonality", ["fit-seasonality", "--data", "series.csv",
+                         "--out", "seasonality_report.txt"]),
+    ("fit_ou", ["fit-ou", "--data", "series.csv", "--out", "ou_report.txt"]),
+    ("calibrate_gamma3", ["calibrate", "--data", "series.csv", "--gamma3", "gamma3.txt",
+                          "--out", "calibration_gamma3_report.txt",
+                          "--params-out", "fitted_gamma3_params.json"]),
 ]
 
 
@@ -73,9 +92,7 @@ def main() -> int:
     out = Path(sys.argv[1]).resolve()
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    params = subprocess.run([sys.executable, "-c", PARAMS_SCRIPT], env=env, check=True,
-                            capture_output=True, text=True).stdout
-    (out / "params.json").write_text(params)
+    subprocess.run([sys.executable, "-c", SETUP_SCRIPT], cwd=out, env=env, check=True)
     for name, argv in CLI_RUNS:
         run(out, name, ["-m", "intrinsicprice", *argv], env)
     for demo in DEMOS:
