@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import MarketConventions
+from .conventions import MarketConventions, _hour_rows
 from .errors import DomainError, EstimationError, NumericError
 from .model import SupplyParams, _leg_moments
 from .ou import OuParams, fit_mle
@@ -128,7 +128,11 @@ def fit_price_seasonality(series: MarketSeries, cal: Calendar,
 
 def _quote_legs(ou: OuParams, supply: SupplyParams, theta: float, conv: MarketConventions,
                 tau, g_tilde_tau_e, gamma3_tau, x_tilde_spot, x_tilde_fix):
-    """Model quotes with the supply-leg moments behind them.
+    """Model quotes for delivery hours ``tau`` with the supply-leg moments
+    behind them.  ``g_tilde_tau_e`` is the stage-1 seasonality at the
+    ex-post times, ``x_tilde_spot`` / ``x_tilde_fix`` the deseasonalised
+    load at the delivery hour and at the fixing one day earlier, and
+    ``theta`` one value or one per delivery hour.
 
     Returns ``(g_q, quotes)``: ``g_q`` is the pricing-measure seasonality at
     the ex-post times, and ``quotes`` holds for the intraday quote, then
@@ -153,22 +157,6 @@ def _quote_legs(ou: OuParams, supply: SupplyParams, theta: float, conv: MarketCo
     return g_q, quotes
 
 
-def model_spot_prices(ou: OuParams, supply: SupplyParams, theta,
-                      conv: MarketConventions, tau, g_tilde_tau_e, gamma3_tau,
-                      x_tilde_spot, x_tilde_fix):
-    """Model intraday and day-ahead prices for delivery hours ``tau``.
-
-    ``g_tilde_tau_e`` is the stage-1 seasonality at the ex-post times,
-    ``x_tilde_spot`` / ``x_tilde_fix`` the deseasonalised load at the
-    delivery hour and at the fixing one day earlier.  The pricing-measure
-    seasonality and states follow the first-order relations.  ``theta`` is
-    one value or one per delivery hour.
-    """
-    _, (intraday, day_ahead) = _quote_legs(ou, supply, theta, conv, tau, g_tilde_tau_e,
-                                           gamma3_tau, x_tilde_spot, x_tilde_fix)
-    return intraday[0], day_ahead[0]   # the price leads each quote tuple
-
-
 class PricingObjective:
     """Stage-3 objective with all data-dependent quantities precomputed.
 
@@ -179,9 +167,7 @@ class PricingObjective:
 
     def __init__(self, series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,
                  gamma3: SeasonalityModel, conv: MarketConventions, rows=None):
-        if conv.delta != int(conv.delta):
-            raise DomainError("hourly series need a whole-hour day length")
-        lag = int(conv.delta)
+        lag = _hour_rows(conv.delta, "day length")
         n = len(series)
         aligned = np.isfinite(series.intraday) & np.isfinite(series.day_ahead)
         aligned &= np.arange(n) >= lag
@@ -223,9 +209,6 @@ class PricingObjective:
         err_i = self.intraday_mkt - quotes[0][0]
         err_s = self.day_ahead_mkt - quotes[1][0]
         return float(err_i @ err_i + err_s @ err_s), g_q, quotes, (err_i, err_s)
-
-    def sum_of_squares(self, supply: SupplyParams, theta: float) -> float:
-        return self._fit(supply, theta)[0]
 
     def __call__(self, supply: SupplyParams, theta: float, gradient: bool = False):
         """The objective; with ``gradient`` the pair ``(value, grad)``, where
@@ -342,9 +325,7 @@ def initial_supply_guess(series: MarketSeries, gamma3: SeasonalityModel,
     convexity terms).  Falls back to documented defaults on failure."""
     from scipy.optimize import least_squares
 
-    if conv.epsilon != int(conv.epsilon):
-        raise DomainError("hourly series need a whole-hour delivery length")
-    lead = int(conv.epsilon)
+    lead = _hour_rows(conv.epsilon, "delivery length")
     n = len(series)
     rows = np.flatnonzero(np.isfinite(series.intraday) & (np.arange(n) + lead < n))
     mean_load = float(np.mean(series.load))

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, data, oracle
-from .conventions import (DeliverySet, MarketConventions, _read_pairs, _read_text,
+from .conventions import (DeliverySet, MarketConventions, _number, _read_pairs, _read_text,
                           load_conventions)
 from .errors import DomainError, EstimationError, NumericError, ParseError
 from .measure import p_seasonality_from_q, q_seasonality_from_p, risk_premium
@@ -45,7 +44,7 @@ def _seasonality_from_dict(params: dict, name: str, cal: Calendar,
                            epoch: _dt.date) -> SeasonalityModel:
     d = params[name]
     return SeasonalityModel(
-        **{k: _finite(d[k], f"{name}.{k}") for k in _SEASONALITY_KEYS},
+        **{k: _number(d[k], f"{name}.{k}") for k in _SEASONALITY_KEYS},
         dow_weights=np.asarray(d["dow_weights"], dtype=float),
         hod_weights=np.asarray(d["hod_weights"], dtype=float),
         calendar=cal, epoch=epoch)
@@ -70,33 +69,23 @@ def model_to_params(model: ModelQ, theta: float) -> dict:
     }
 
 
-def _finite(value, name: str) -> float:
-    """A params number as a float, which must be neither NaN nor infinite
-    (JSON reads ``1e999`` as an infinity); an integer past the float range
-    raises ``OverflowError``, as the weight arrays do."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {number}")
-    return number
-
-
 def model_from_params(params: dict) -> tuple[ModelQ, float]:
     try:
         epoch = _dt.date.fromisoformat(params["epoch"])
         cal_dict = params.get("calendar", {})
         cal = Calendar(**{name: frozenset(map(_dt.date.fromisoformat, cal_dict.get(tag, [])))
                           for tag, name in _CALENDAR_TAGS.items()})
-        conv = MarketConventions(**{k: _finite(v, f"conventions.{k}")
+        conv = MarketConventions(**{k: _number(v, f"conventions.{k}")
                                     for k, v in params.get("conventions", {}).items()})
         ou_d = params["ou"]
-        ou = OuParams(lam=_finite(ou_d["lambda"], "ou.lambda"),
-                      sigma=_finite(ou_d["sigma"], "ou.sigma"),
-                      x0=_finite(ou_d.get("x0", 0.0), "ou.x0"))
-        supply = SupplyParams(**{k: _finite(v, f"supply.{k}")
+        ou = OuParams(lam=_number(ou_d["lambda"], "ou.lambda"),
+                      sigma=_number(ou_d["sigma"], "ou.sigma"),
+                      x0=_number(ou_d.get("x0", 0.0), "ou.x0"))
+        supply = SupplyParams(**{k: _number(v, f"supply.{k}")
                                  for k, v in params["supply"].items()})
         g = _seasonality_from_dict(params, "load_seasonality", cal, epoch)
         gamma3 = _seasonality_from_dict(params, "price_seasonality", cal, epoch)
-        theta = _finite(params["theta"], "theta")
+        theta = _number(params["theta"], "theta")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed params file: {exc!r}") from exc
     return ModelQ(ou=ou, supply=supply, load_seasonality=g,
@@ -125,24 +114,22 @@ def _seasonality_report_pairs(model: SeasonalityModel):
 
 
 def read_seasonality_report(path, cal: Calendar) -> SeasonalityModel:
-    values = {key: value for _, key, value in _read_pairs(path)}
+    values = {key: (value, where) for where, key, value in _read_pairs(path)}
     try:
-        epoch = _dt.date.fromisoformat(values.pop("epoch"))
-        beta = np.array([float(values.pop(k)) for k in COLUMN_NAMES])
+        epoch = _dt.date.fromisoformat(values.pop("epoch")[0])
+        entries = [values.pop(k) for k in COLUMN_NAMES]
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: malformed seasonality report: {exc!r}") from exc
+    beta = np.array([_number(value, where) for value, where in entries])
     return _from_coefficients(beta, cal, epoch)
 
 
 def _finite_float(text: str) -> float:
-    """Argparse type for numeric flags: a float that is neither NaN nor infinite."""
+    """Argparse type for numeric flags: :func:`_number` as a usage error."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        return _number(text, "value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 def _seed(text: str) -> int:
@@ -227,10 +214,7 @@ def _cmd_price(args) -> int:
         value = forward_price(model, args.t, args.tau, args.x)
     elif args.contract == "futures":
         model, _ = load_model_file(args.params)
-        try:
-            hours = [_finite_float(h) for h in args.deliveries.split(",") if h.strip()]
-        except argparse.ArgumentTypeError as exc:
-            raise ParseError(f"--deliveries: {exc}") from exc
+        hours = [_number(h, "--deliveries") for h in args.deliveries.split(",") if h.strip()]
         deliveries = DeliverySet.from_hours(hours)
         first_fix = deliveries.hours()[0] - model.conv.delta
         if args.t > first_fix:

@@ -30,12 +30,13 @@ class MarketConventions:
     hours_per_year: float = float(HOURS_PER_YEAR)
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise DomainError(f"delivery length must be positive, got {self.epsilon}")
-        if not self.delta > 0:
-            raise DomainError(f"day length must be positive, got {self.delta}")
-        if not self.hours_per_year > 0:
-            raise DomainError(f"hours_per_year must be positive, got {self.hours_per_year}")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError(f"delivery length must be positive and finite, got {self.epsilon}")
+        if not 0 < self.delta < math.inf:
+            raise DomainError(f"day length must be positive and finite, got {self.delta}")
+        if not 0 < self.hours_per_year < math.inf:
+            raise DomainError(
+                f"hours_per_year must be positive and finite, got {self.hours_per_year}")
         r_h = self.annual_rate / self.hours_per_year
         if not math.isfinite(r_h) or r_h < 0:
             raise DomainError(f"hourly rate must be finite and non-negative, got {r_h}")
@@ -69,6 +70,15 @@ class DeliverySet:
 
     def hours(self) -> list[float]:
         return list(self.taus)
+
+
+def _hour_rows(hours: float, what: str) -> int:
+    """A length in hours as a number of rows of an hourly series; a length
+    that is not a whole number of hours is a :class:`DomainError` naming
+    ``what``."""
+    if hours != int(hours):
+        raise DomainError(f"hourly series need a whole-hour {what}")
+    return int(hours)
 
 
 def discount(t1: float, t2: float, conv: MarketConventions) -> float:
@@ -110,6 +120,26 @@ def _read_text(path) -> str:
         raise ParseError(f"{path}:{line}: byte {raw[exc.start]:#04x} is not UTF-8 text") from None
 
 
+def _number(value, where: str) -> float:
+    """One number from outside the package as a float: a params-JSON value,
+    a numeric flag, a ``--deliveries`` item, a conventions value or a
+    report coefficient.
+
+    Anything that is not a finite number is a :class:`ParseError` naming
+    ``where``: text that does not parse, NaN, the infinities (JSON reads
+    ``1e999`` as one) and an integer past the float range.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: {value!r} is not a number") from None
+    except OverflowError:
+        raise ParseError(f"{where}: integer past the float range") from None
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: {value!r} is not a finite number")
+    return number
+
+
 def _read_pairs(path):
     """``(where, key, value)`` for each entry of a key/value file, where
     ``where`` is ``"path:line"``.
@@ -137,8 +167,5 @@ def load_conventions(path) -> MarketConventions:
     for where, key, value in _read_pairs(path):
         if key not in _CONVENTION_KEYS:
             raise ParseError(f"{where}: unknown conventions key {key!r}")
-        try:
-            values[_CONVENTION_KEYS[key]] = float(value)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {value!r} is not a number") from exc
+        values[_CONVENTION_KEYS[key]] = _number(value, where)
     return MarketConventions(**values)

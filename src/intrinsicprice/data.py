@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import MarketSeries, model_spot_prices
-from .conventions import MarketConventions, _read_text
+from .calibration import MarketSeries, _quote_legs
+from .conventions import MarketConventions, _hour_rows, _read_text
 from .errors import DomainError, ParseError
 from .measure import p_seasonality_from_q
 from .model import ModelQ, SupplyParams
@@ -210,8 +210,8 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     if n < 720:
         raise DomainError("synthetic span must cover at least one month (720 hours)")
     conv = model.conv
-    if conv.delta != int(conv.delta) or conv.epsilon != int(conv.epsilon):
-        raise DomainError("synthetic generation assumes whole-hour delta and epsilon")
+    lag = _hour_rows(conv.delta, "day length")
+    _hour_rows(conv.epsilon, "delivery length")
     try:
         sd = np.asarray(noise_sd, dtype=float)
     except (TypeError, ValueError):
@@ -230,7 +230,6 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     deviation = _sample_path(model.ou, np.ones(n - 1), rng)
     load = evaluate(g_tilde, taus) + deviation
 
-    lag = int(conv.delta)
     g_tilde_tau_e = evaluate(g_tilde, taus + conv.epsilon)
     gamma3_tau = evaluate(model.price_seasonality, taus)
     x_fix = np.zeros(n)     # the first day has no fixing state; its day-ahead is dropped
@@ -241,9 +240,9 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
         months, month_of_row = np.unique(_month_keys(taus, epoch), return_inverse=True)
         theta_row = np.array([monthly_theta.get(k, theta) for k in months])[month_of_row]
 
-    intraday, day_ahead = model_spot_prices(
-        model.ou, model.supply, theta_row, conv, taus, g_tilde_tau_e, gamma3_tau,
-        deviation, x_fix)
+    _, quotes = _quote_legs(model.ou, model.supply, theta_row, conv, taus, g_tilde_tau_e,
+                            gamma3_tau, deviation, x_fix)
+    intraday, day_ahead = (quote[0] for quote in quotes)   # the price leads each quote
     intraday += sd_intraday * rng.standard_normal(n)
     day_ahead += sd_day_ahead * rng.standard_normal(n)
     day_ahead[:lag] = np.nan

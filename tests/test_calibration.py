@@ -113,6 +113,17 @@ class TestPricingObjective:
             PricingObjective(empty, g_tilde, ref_model.ou,
                              ref_model.price_seasonality, ref_model.conv)
 
+    def test_needs_a_whole_hour_day_length_only(self, ref_model, synthetic):
+        series, g_tilde = synthetic
+
+        def build(**conventions):
+            return PricingObjective(series, g_tilde, ref_model.ou, ref_model.price_seasonality,
+                                    ip.MarketConventions(**conventions))
+
+        with pytest.raises(DomainError, match="whole-hour day length"):
+            build(delta=24.5)
+        assert build(epsilon=0.5).n_obs == build().n_obs
+
 
 class TestAnalyticGradient:
     @staticmethod
@@ -277,6 +288,12 @@ class TestInitialGuess:
         assert guess.alpha2 == -0.2
         assert guess.beta1 == pytest.approx(np.mean(series.load))
 
+    def test_needs_a_whole_hour_delivery_length(self):
+        series = tiny_series(400)
+        with pytest.raises(DomainError, match="whole-hour delivery length"):
+            ip.initial_supply_guess(series, ip.SeasonalityModel.constant(30.0),
+                                    ip.MarketConventions(epsilon=0.5))
+
 
 class TestCalibrateSupplyTheta:
     def test_truth_start_on_clean_data_converges_immediately(self, ref_model, ref_theta,
@@ -317,10 +334,13 @@ class TestCalibrateSupplyTheta:
         def pack(fn):
             return lambda u: fn(ip.SupplyParams(np.exp(u[0]), -np.exp(u[1]), u[2], u[3]), u[4])
 
+        def sum_of_squares(supply, theta):
+            return objective._fit(supply, theta)[0]
+
         u0 = np.array([np.log(0.19), np.log(0.18), 43.9, 37.5, 0.0])
         a = scipy.optimize.minimize(pack(objective), u0, method="BFGS",
                                     options={"gtol": 1e-10}).x
-        b = scipy.optimize.minimize(pack(objective.sum_of_squares), u0, method="BFGS",
+        b = scipy.optimize.minimize(pack(sum_of_squares), u0, method="BFGS",
                                     options={"gtol": 1e-10}).x
         assert np.allclose(a, b, atol=1e-4)
 

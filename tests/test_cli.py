@@ -360,6 +360,21 @@ class TestBadInputFiles:
         assert code == 2 and not out.exists()
         assert len(lines) == 1 and lines[0].startswith("error: malformed params file")
 
+    @pytest.mark.parametrize("flag, bad", [("--conventions", "'inf'"), ("--gamma3", "'nan'")])
+    def test_non_finite_number_in_a_file(self, flag, bad, tmp_path, data_file, ref_model, capsys):
+        path = tmp_path / "input.txt"
+        if flag == "--conventions":
+            path.write_text("epsilon_hours 1\ndelta_hours inf\n")
+        else:   # the reference price seasonality report with a nan level
+            pairs = cli._seasonality_report_pairs(ref_model.price_seasonality)
+            cli._write_report(path, [(k, "nan" if k == "level" else v) for k, v in pairs])
+        out = tmp_path / "report.txt"
+        code = cli.main(["calibrate", "--data", str(data_file), flag, str(path),
+                         "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and not out.exists()
+        assert lines == [f"error: {path}:2: {bad} is not a finite number"]
+
     def test_output_path_that_is_a_directory(self, tmp_path, params_file, capsys):
         code = cli.main(["risk-premium", "--params", str(params_file), "--tau", "2160",
                          "--t-start", "1000", "--t-end", "2160", "--out", str(tmp_path)])

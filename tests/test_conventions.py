@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, ParseError, cli
-from intrinsicprice.conventions import _read_text
+from intrinsicprice.conventions import _number, _read_text
 
 
 class TestDiscount:
@@ -56,7 +56,8 @@ class TestConventionTypes:
 
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0}, {"delta": -1.0}, {"hours_per_year": 0.0},
-        {"annual_rate": -0.5}, {"annual_rate": float("nan")},
+        {"annual_rate": -0.5}, {"annual_rate": float("nan")}, {"delta": float("inf")},
+        {"epsilon": float("inf")}, {"hours_per_year": float("inf")},
     ])
     def test_invalid_conventions(self, kwargs):
         with pytest.raises(DomainError):
@@ -106,6 +107,29 @@ class TestConventionsFile:
         path.write_text("annual_rate x\n")
         with pytest.raises(ParseError, match="not a number"):
             ip.load_conventions(path)
+
+    def test_non_finite_number_rejected(self, tmp_path):
+        path = tmp_path / "conv.txt"
+        path.write_text("epsilon_hours 1\ndelta_hours inf\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: 'inf' is not a finite"):
+            ip.load_conventions(path)
+
+
+class TestNumber:
+    @pytest.mark.parametrize("value, expected", [
+        ("2.5", 2.5), (" -1e3 ", -1000.0), (7, 7.0), (0.1, 0.1)])
+    def test_finite_numbers_pass(self, value, expected):
+        assert _number(value, "here") == expected
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "'x' is not a number"), (None, "None is not a number"),
+        ([1.0], r"\[1.0\] is not a number"), ("nan", "'nan' is not a finite number"),
+        ("-inf", "'-inf' is not a finite number"), (float("inf"), "inf is not a finite number"),
+        (10**400, "integer past the float range"),
+    ])
+    def test_anything_else_names_where(self, value, message):
+        with pytest.raises(ParseError, match=f"^here: {message}$"):
+            _number(value, "here")
 
 
 class TestKeyValueGrammar:

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import hashlib
 import os
@@ -387,6 +388,13 @@ class TestGenerateSynthetic:
     def test_negative_seed_rejected(self, ref_model, ref_theta):
         with pytest.raises(DomainError, match="seed must be non-negative"):
             ip.generate_synthetic(ref_model, ref_theta, 720, 0.5, seed=-1)
+
+    @pytest.mark.parametrize("conventions, length", [
+        ({"delta": 24.5}, "day length"), ({"epsilon": 0.5}, "delivery length")])
+    def test_whole_hour_lengths_required(self, ref_model, ref_theta, conventions, length):
+        model = dataclasses.replace(ref_model, conv=ip.MarketConventions(**conventions))
+        with pytest.raises(DomainError, match=f"whole-hour {length}"):
+            ip.generate_synthetic(model, ref_theta, 720, 0.5, seed=0)
 
     def test_minimum_span_enforced(self, ref_model, ref_theta):
         with pytest.raises(DomainError, match="month"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError
@@ -64,6 +66,18 @@ class TestSeasonalityConversion:
         assert g_tilde.trend - g.trend == pytest.approx(
             ref_ou.lam * ref_ou.sigma * ref_theta, rel=1e-12)
         assert np.array_equal(g_tilde.hod_weights, g.hod_weights)
+
+    @given(trend=st.floats(-1e-3, 1e-3), theta=st.floats(-0.1, 0.1),
+           lam=st.floats(1e-3, 1.0), sigma=st.floats(0.0, 10.0))
+    def test_round_trip_within_ulps(self, ref_model, trend, theta, lam, sigma):
+        # two roundings, each at most half a spacing of the larger term
+        g = ref_model.load_seasonality.with_trend(trend)
+        ou = ip.OuParams(lam=lam, sigma=sigma)
+        back = ip.q_seasonality_from_p(ip.p_seasonality_from_q(g, ou, theta), ou, theta)
+        shift = lam * sigma * theta
+        assert abs(back.trend - trend) <= 2 * np.spacing(abs(trend) + abs(shift))
+        assert (back.level, back.sin_annual, back.cos_annual) == \
+            (g.level, g.sin_annual, g.cos_annual)
 
 
 class TestRadonNikodym:
@@ -183,6 +197,11 @@ class TestRiskPremium:
         ts = np.array([0.0, 50.0, 200.0, 267.5, 269.0])
         for t in ts:
             assert ip.risk_premium(ref_model, 0.0, float(t), 268.0, 1.3) == 0.0
+
+    @given(tau=st.floats(0.0, 3 * 8760.0), share=st.floats(0.0, 1.0),
+           x_tilde=st.floats(-30.0, 30.0))
+    def test_zero_without_measure_change_anywhere(self, ref_model, tau, share, x_tilde):
+        assert ip.risk_premium(ref_model, 0.0, share * tau, tau, x_tilde) == 0.0
 
     def test_matches_direct_definition(self, ref_model, ref_theta):
         # forward at the shifted state minus the real-world leg difference

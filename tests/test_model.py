@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, NumericError
@@ -76,6 +78,15 @@ class TestTradableAndForward:
             ip.intrinsic_price(ref_model, g + x, tau)
         assert ip.forward_price(ref_model, tau + 1.0, tau, x) == \
             ip.intrinsic_price(ref_model, g + x, tau)
+
+    # three years of deliveries and loads within 30 of the seasonal level keep
+    # both leg exponents far below the overflow guard
+    @given(tau=st.floats(0.0, 3 * 8760.0), x=st.floats(-30.0, 30.0))
+    def test_forward_at_settlement_is_intrinsic_bitwise(self, ref_model, tau, x):
+        tau_e = tau + ref_model.conv.epsilon
+        load = ip.evaluate(ref_model.load_seasonality, tau_e) + x
+        assert ip.forward_price(ref_model, tau_e, tau, x) == \
+            ip.intrinsic_price(ref_model, load, tau)
 
     def test_zero_rate_forward_equals_tradable(self, ref_ou, ref_supply):
         conv = ip.MarketConventions(annual_rate=0.0)

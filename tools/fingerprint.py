@@ -16,7 +16,10 @@ output directories.  The set:
 - ``simulate --span 26280 --seed 0`` and, on its CSV, ``calibrate`` (report,
   stdout and ``--params-out`` JSON), ``implied-theta``, ``fit-seasonality``,
   ``fit-ou``, and ``calibrate --gamma3`` with the reference price seasonality
-  written as a seasonality report, in the format ``fit-seasonality`` writes.
+  written as a seasonality report, in the format ``fit-seasonality`` writes;
+- ``calibrate`` on two inputs holding a number that is not finite: a
+  conventions file with ``delta_hours inf`` and that seasonality report with
+  ``level nan``.
 
 Each ``*.out`` file holds one command's stdout and ends with its exit code.
 """
@@ -39,7 +42,10 @@ from intrinsicprice.data import reference_model
 model, theta = reference_model()
 with open("params.json", "w") as fh:
     fh.write(json.dumps(model_to_params(model, theta), indent=2) + "\\n")
-_write_report("gamma3.txt", _seasonality_report_pairs(model.price_seasonality))
+pairs = _seasonality_report_pairs(model.price_seasonality)
+_write_report("gamma3.txt", pairs)
+_write_report("gamma3_nan.txt", [(k, "nan" if k == "level" else v) for k, v in pairs])
+_write_report("conventions_inf.txt", [("epsilon_hours", 1.0), ("delta_hours", float("inf"))])
 """
 
 TAU = 2160.0                                   # a delivery 90 days past the epoch
@@ -75,6 +81,11 @@ CLI_RUNS = [
     ("calibrate_gamma3", ["calibrate", "--data", "series.csv", "--gamma3", "gamma3.txt",
                           "--out", "calibration_gamma3_report.txt",
                           "--params-out", "fitted_gamma3_params.json"]),
+    ("calibrate_conventions_inf", ["calibrate", "--data", "series.csv",
+                                   "--conventions", "conventions_inf.txt",
+                                   "--out", "calibration_conventions_inf_report.txt"]),
+    ("calibrate_gamma3_nan", ["calibrate", "--data", "series.csv", "--gamma3", "gamma3_nan.txt",
+                              "--out", "calibration_gamma3_nan_report.txt"]),
 ]
 
 
