@@ -86,6 +86,8 @@ def model_from_params(params: dict) -> tuple[ModelQ, float]:
         g = _seasonality_from_dict(params, "load_seasonality", cal, epoch)
         gamma3 = _seasonality_from_dict(params, "price_seasonality", cal, epoch)
         theta = _number(params["theta"], "theta")
+    except (DomainError, ParseError):   # ValueErrors whose message already names the value
+        raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed params file: {exc!r}") from exc
     return ModelQ(ou=ou, supply=supply, load_seasonality=g,
@@ -99,7 +101,10 @@ def load_model_file(path) -> tuple[ModelQ, float]:
         raise ParseError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
-    return model_from_params(params)
+    try:
+        return model_from_params(params)
+    except (DomainError, ParseError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _write_report(path, pairs):

@@ -5,7 +5,11 @@ disagreement measures formula error, not discretisation error; fine Euler
 grids appear only in the pathwise representation check.  Estimates are
 produced in fixed-size batches, each drawing from an independent
 substream of the master seed, with a fixed reduction order, so a given
-seed is bitwise reproducible.
+seed is bitwise reproducible.  A batch is drawn in row blocks, one block
+ahead on one helper thread while the main thread values the block before
+(``_draw_ahead``).  The helper only draws, one block at a time and in
+order, so the normals are those of a whole-batch draw, and each batch is
+still reduced as one array: the estimates do not depend on the blocks.
 
 A mutation mode (``McConfig.mutation_drift``) adds a constant drift to
 every simulated dynamic; agreement checks must demonstrably fail under
@@ -16,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from .ou import OuParams, _step_law, _walk, transition
 from .seasonality import evaluate
 
 _BATCH = 1 << 18
+_BLOCK = 1 << 15       # rows of a batch drawn, one block ahead, and valued at a time
 _DENSITY_STEPS = 8     # grid intervals of the two density estimators
 
 
@@ -99,20 +106,54 @@ def all_passed(checks) -> bool:
     return all(c.passed for c in checks if not c.informational)
 
 
+def _draw_ahead(draws):
+    """Yield ``draw()`` for each thunk of ``draws`` in turn, the next thunk
+    running on one helper thread while the caller works on this result.
+
+    The thread runs one thunk at a time, in order, so thunks sharing a
+    generator draw the same numbers as calling them one by one.
+    ``Generator.standard_normal`` releases the GIL, so a draw overlaps the
+    caller's work.  The thread is joined when the generator ends or is
+    closed; callers close it with ``contextlib.closing``, so that an error
+    in their own work joins it too."""
+    from concurrent.futures import ThreadPoolExecutor   # kept out of ``import intrinsicprice``
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        futures = (pool.submit(draw) for draw in draws)
+        pending = next(futures, None)
+        for ahead in futures:
+            yield pending.result()
+            pending = ahead
+        if pending is not None:
+            yield pending.result()
+
+
 def _run_batches(cfg: McConfig, n_normals: int, values_fn) -> McEstimate:
     """Estimate the mean of ``values_fn(Z)`` over standard-normal draws
     ``Z`` of shape (paths, n_normals).  A sum or sum of squares that is not
     finite, as when path values are finite but their squares overflow, is
-    a ``NumericError``."""
+    a ``NumericError``.
+
+    Each batch of ``_BATCH`` paths draws from its own substream, in row
+    blocks of ``_BLOCK`` drawn one block ahead by ``_draw_ahead``.  A batch's
+    values are summed together, so the estimate is the one a whole-batch
+    draw gives, bit for bit."""
     n = cfg.n_paths
+    sizes = [min(_BATCH, n - start) for start in range(0, n, _BATCH)]
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(cfg.seed).spawn(len(sizes))]
+    draws = (partial(rng.standard_normal, (min(_BLOCK, m - start), n_normals))
+             for rng, m in zip(rngs, sizes) for start in range(0, m, _BLOCK))
     total = 0.0
     total_sq = 0.0
-    for k, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(-(-n // _BATCH))):
-        z = np.random.default_rng(child).standard_normal((min(_BATCH, n - k * _BATCH), n_normals))
-        units = np.asarray(values_fn(z), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
-            total += float(units.sum())
-            total_sq += float(units @ units)
+    with closing(_draw_ahead(draws)) as blocks:
+        for m in sizes:
+            units = np.empty(m)
+            for start in range(0, m, _BLOCK):
+                units[start:start + _BLOCK] = values_fn(next(blocks))
+            with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
+                total += float(units.sum())
+                total_sq += float(units @ units)
     if not (math.isfinite(total) and math.isfinite(total_sq)):
         raise NumericError(f"Monte Carlo sums are not finite: sum {total!r}, "
                            f"sum of squares {total_sq!r}")
@@ -474,26 +515,30 @@ def euler_representation_error(model: ModelQ, tau: float, t0: float, span: float
     factors = (1, 2, 4)
 
     rng = np.random.default_rng(cfg.seed)
+
+    def draw(m):
+        return rng.standard_normal((m, n_fine)), rng.standard_normal((m, n_fine))  # dW first
+
     batch = 65536
+    draws = (partial(draw, min(batch, cfg.n_paths - done))
+             for done in range(0, cfg.n_paths, batch))
     sums = [0.0] * len(factors)
-    done = 0
-    while done < cfg.n_paths:
-        m = min(batch, cfg.n_paths - done)
-        z_w = rng.standard_normal((m, n_fine))     # the dW normals are drawn first
-        dw, states = _w_walk(model.ou, x_t0, h_fine, z_w, rng.standard_normal((m, n_fine)))
-        x = [x_t0] + states
-        df = forward_price(model, t0 + span, tau, x[-1]) - forward_price(model, t0, tau, x[0])
-        dw_coarse = [dw.reshape(m, n_fine // fac, fac).sum(axis=2) for fac in factors]
-        totals = [np.zeros(m) for _ in factors]
-        for k in range(n_fine):
-            # the integrand at fine step k serves every step size that starts there
-            integrand = price_generating(model, t0 + k * h_fine, tau, x[k])
-            for fac, dw_c, total in zip(factors, dw_coarse, totals):
-                if k % fac == 0:
-                    total += integrand * dw_c[:, k // fac]
-        for i, total in enumerate(totals):
-            sums[i] += float(np.abs(df - total).sum())
-        done += m
+    with closing(_draw_ahead(draws)) as batches:
+        for z_w, z_i in batches:
+            m = len(z_w)
+            dw, states = _w_walk(model.ou, x_t0, h_fine, z_w, z_i)
+            x = [x_t0] + states
+            df = forward_price(model, t0 + span, tau, x[-1]) - forward_price(model, t0, tau, x[0])
+            dw_coarse = [dw.reshape(m, n_fine // fac, fac).sum(axis=2) for fac in factors]
+            totals = [np.zeros(m) for _ in factors]
+            for k in range(n_fine):
+                # the integrand at fine step k serves every step size that starts there
+                integrand = price_generating(model, t0 + k * h_fine, tau, x[k])
+                for fac, dw_c, total in zip(factors, dw_coarse, totals):
+                    if k % fac == 0:
+                        total += integrand * dw_c[:, k // fac]
+            for i, total in enumerate(totals):
+                sums[i] += float(np.abs(df - total).sum())
     return {fac * h_fine: err / cfg.n_paths for fac, err in zip(factors, sums)}
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -58,7 +59,8 @@ class TestParamsRoundTrip:
     def test_non_finite_params_rejected(self, ref_model, ref_theta, section, key, value):
         blob = cli.model_to_params(ref_model, ref_theta)
         (blob if section is None else blob[section])[key] = value
-        with pytest.raises(ip.ParseError, match="malformed params file"):
+        where = key if section is None else f"{section}.{key}"
+        with pytest.raises(ip.ParseError, match=f"^{re.escape(where)}: "):
             cli.model_from_params(blob)
 
     def test_calendar_round_trip_with_every_tag(self, tmp_path, ref_model, ref_theta):
@@ -358,7 +360,24 @@ class TestBadInputFiles:
                          "--t-start", "1000", "--t-end", "2160", "--out", str(out)])
         lines = capsys.readouterr().err.splitlines()
         assert code == 2 and not out.exists()
-        assert len(lines) == 1 and lines[0].startswith("error: malformed params file")
+        assert lines == [f"error: {params}: theta: integer past the float range"]
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        (None, "theta", float("nan"), "theta"),
+        ("ou", "sigma", -1.0, "volatility"),
+    ], ids=["theta-nan", "sigma-negative"])
+    def test_params_value_error_names_the_file(self, section, key, value, named, tmp_path,
+                                               ref_model, ref_theta, capsys):
+        blob = cli.model_to_params(ref_model, ref_theta)
+        (blob if section is None else blob[section])[key] = value
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(blob))
+        code = cli.main(["price", "forward", "--params", str(params),
+                         "--t", "1992", "--tau", "2160"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith(f"error: {params}: ") and named in lines[0]
+        assert "Error(" not in lines[0]   # no exception repr
 
     @pytest.mark.parametrize("flag, bad", [("--conventions", "'inf'"), ("--gamma3", "'nan'")])
     def test_non_finite_number_in_a_file(self, flag, bad, tmp_path, data_file, ref_model, capsys):

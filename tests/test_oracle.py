@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, cli
-from intrinsicprice.oracle import _w_walk
+from intrinsicprice.oracle import _BATCH, _run_batches, _w_walk
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,69 @@ class TestEngine:
         with pytest.raises(DomainError, match="seed"):
             ip.McConfig(seed=-1)
         assert ip.McConfig(seed=0).seed == 0
+
+
+class TestBlockedDraws:
+    """The oracle draws each batch in row blocks, one block ahead on a helper
+    thread; its estimates equal, bit for bit, those of drawing each batch
+    whole, as the references below do."""
+
+    @staticmethod
+    def values(z):
+        return np.exp(0.3 * z[:, 0]) * z[:, 1] + z[:, 2] ** 2
+
+    @pytest.mark.parametrize("n_paths", [2, 5000, 32768, 300_000, 2**19 + 1])
+    def test_run_batches_matches_whole_batch_draws(self, n_paths):
+        cfg = ip.McConfig(n_paths=n_paths, seed=4)
+        total = total_sq = 0.0
+        for k, child in enumerate(np.random.SeedSequence(4).spawn(-(-n_paths // _BATCH))):
+            z = np.random.default_rng(child).standard_normal(
+                (min(_BATCH, n_paths - k * _BATCH), 3))
+            units = self.values(z)
+            total += float(units.sum())
+            total_sq += float(units @ units)
+        mean = total / n_paths
+        var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
+        est = _run_batches(cfg, 3, self.values)
+        assert est.mean == mean and est.std_error == math.sqrt(var / n_paths)
+
+    def test_euler_representation_matches_whole_batch_draws(self, ref_model):
+        tau, t0, h, n_fine, n_paths, x0 = 268.0, 100.0, 0.05, 8, 70_000, 0.5
+        cfg = ip.McConfig(n_paths=n_paths, seed=3, time_step=h)
+        rng = np.random.default_rng(3)
+        sums = [0.0, 0.0, 0.0]
+        for done in range(0, n_paths, 65536):
+            m = min(65536, n_paths - done)
+            z_w = rng.standard_normal((m, n_fine))
+            dw, states = _w_walk(ref_model.ou, x0, h, z_w, rng.standard_normal((m, n_fine)))
+            x = [x0] + states
+            df = (ip.forward_price(ref_model, t0 + n_fine * h, tau, x[-1])
+                  - ip.forward_price(ref_model, t0, tau, x0))
+            for i, fac in enumerate((1, 2, 4)):
+                dw_c = dw.reshape(m, n_fine // fac, fac).sum(axis=2)
+                total = np.zeros(m)
+                for k in range(0, n_fine, fac):
+                    total += ip.price_generating(ref_model, t0 + k * h, tau, x[k]) * dw_c[:, k // fac]
+                sums[i] += float(np.abs(df - total).sum())
+        errors = ip.euler_representation_error(ref_model, tau, t0, n_fine * h, cfg, x0)
+        assert errors == {fac * h: err / n_paths for fac, err in zip((1, 2, 4), sums)}
+
+    def test_error_in_values_propagates_and_joins_the_thread(self):
+        threads_before = threading.active_count()
+        error = ip.NumericError("raised by the third block")
+        seen = []
+
+        def values(z):
+            seen.append(threading.active_count())
+            if len(seen) == 3:
+                raise error
+            return z[:, 0]
+
+        with pytest.raises(ip.NumericError) as excinfo:
+            _run_batches(ip.McConfig(n_paths=300_000, seed=0), 1, values)
+        assert excinfo.value is error
+        assert seen == [threads_before + 1] * 3   # exactly one helper thread
+        assert threading.active_count() == threads_before
 
 
 class TestDirectOracles:

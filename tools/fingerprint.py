@@ -9,6 +9,10 @@ bytes and "byte-identical to the parent" is one ``diff -r`` of two
 output directories.  The set:
 
 - ``verify --paths 300000`` at seed 0, and at seed 5 with ``--mutation 0.01``;
+- the same seed-0 ``run_verification_suite`` in full precision: one
+  ``name mean std_error`` line per check, the numbers as ``float.hex``, so
+  equal files mean equal estimates to the last bit, not to the six printed
+  decimals (300,000 paths are one full batch and a ragged 37,856-path one);
 - the stdout of the six demos, and the CSV that demo 03 writes;
 - ``price forward``, ``price futures`` on a 744 h strip, and ``price option``
   for both families, with and without ``--conventional``;
@@ -46,6 +50,15 @@ pairs = _seasonality_report_pairs(model.price_seasonality)
 _write_report("gamma3.txt", pairs)
 _write_report("gamma3_nan.txt", [(k, "nan" if k == "level" else v) for k, v in pairs])
 _write_report("conventions_inf.txt", [("epsilon_hours", 1.0), ("delta_hours", float("inf"))])
+"""
+
+ORACLE_HEX_SCRIPT = """
+from intrinsicprice.data import reference_model
+from intrinsicprice.oracle import McConfig, run_verification_suite
+model, theta = reference_model()
+with open("verify_seed0.hex", "w") as fh:
+    for c in run_verification_suite(model, theta, McConfig(n_paths=300_000, seed=0)):
+        fh.write(f"{c.name} {c.estimate.mean.hex()} {c.estimate.std_error.hex()}\\n")
 """
 
 TAU = 2160.0                                   # a delivery 90 days past the epoch
@@ -104,6 +117,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     subprocess.run([sys.executable, "-c", SETUP_SCRIPT], cwd=out, env=env, check=True)
+    subprocess.run([sys.executable, "-c", ORACLE_HEX_SCRIPT], cwd=out, env=env, check=True)
     for name, argv in CLI_RUNS:
         run(out, name, ["-m", "intrinsicprice", *argv], env)
     for demo in DEMOS:
