@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError, ParseError
 
 HOURS_PER_YEAR = 365 * 24
@@ -54,16 +56,20 @@ class DeliverySet:
     taus: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.taus) < 1:
+        taus = np.asarray(self.taus, dtype=float)
+        if taus.size < 1:
             raise DomainError("a delivery set needs at least one delivery time")
-        if not all(0.0 <= tau < math.inf for tau in self.taus):
+        if not ((taus >= 0.0) & (taus < math.inf)).all():
             raise DomainError(f"delivery times must be finite and non-negative, got {self.taus}")
-        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
+        if not (taus[1:] > taus[:-1]).all():
             raise DomainError(f"delivery times must be strictly increasing, got {list(self.taus)}")
 
     @classmethod
     def from_hours(cls, hours) -> "DeliverySet":
-        return cls(tuple(float(h) for h in hours))
+        """A delivery set from any iterable of hours (a 1-d array is read whole)."""
+        if not (isinstance(hours, np.ndarray) and hours.ndim == 1):
+            hours = np.fromiter(hours, dtype=float)
+        return cls(tuple(hours.astype(float).tolist()))
 
     def __len__(self) -> int:
         return len(self.taus)

@@ -82,6 +82,22 @@ class TestConventionTypes:
         with pytest.raises(DomainError):
             ip.DeliverySet.from_hours([])
 
+    def test_month_strip_checked_whole(self):
+        # a 744 h month from an array, a list and a generator gives one set
+        hours = 2160.0 + np.arange(744.0)
+        ds = ip.DeliverySet.from_hours(hours)
+        assert ds.taus == tuple(hours.tolist())
+        assert all(type(tau) is float for tau in ds.taus)
+        assert ip.DeliverySet.from_hours(list(hours)) == ds
+        assert ip.DeliverySet.from_hours(h for h in hours) == ds
+        repeated = np.append(hours[:-1], hours[-2])
+        with pytest.raises(DomainError, match="strictly increasing"):
+            ip.DeliverySet.from_hours(repeated)
+        middle_nan = hours.copy()
+        middle_nan[372] = np.nan
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            ip.DeliverySet.from_hours(middle_nan)
+
 
 class TestConventionsFile:
     def test_round_trip(self, tmp_path):

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import intrinsicprice as ip
-from intrinsicprice import DomainError
+from intrinsicprice import DomainError, NumericError
 
 prices = st.floats(1.0, 200.0)
 vols = st.floats(0.0, 50.0)
@@ -21,7 +25,7 @@ class TestIntegratedVol:
         assert ip.integrated_vol(lambda s: -2.0, 0.0, 9.0) == pytest.approx(6.0, rel=1e-10)
 
     def test_vector_integrand(self):
-        value = ip.integrated_vol(lambda s: np.array([3.0, 4.0]), 0.0, 4.0)
+        value = ip.integrated_vol(lambda s: np.tile([3.0, 4.0], (np.size(s), 1)), 0.0, 4.0)
         assert value == pytest.approx(10.0, rel=1e-10)
 
     def test_structural_integrand_against_riemann_sum(self, ref_model):
@@ -42,6 +46,113 @@ class TestIntegratedVol:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(DomainError):
             ip.integrated_vol(lambda s: 1.0, 2.0, 1.0)
+
+    def test_non_finite_bounds_rejected(self):
+        for u, t in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)):
+            with pytest.raises(DomainError, match="finite"):
+                ip.integrated_vol(lambda s: 1.0, u, t)
+
+    def test_one_integrand_call_per_round(self):
+        # e^{2 c s} grows by e^600 over the span, so one pair of rules on the
+        # whole interval is not enough and the quadrature refines
+        a, c, u, t = 1.5, 1.0, 0.0, 300.0
+        sizes = []
+
+        def phi(s):
+            sizes.append(s.size)
+            return a * np.exp(c * s)
+
+        value = ip.integrated_vol(phi, u, t)
+        assert value == pytest.approx(exponential_vol(a, c, u, t), rel=1e-12)
+        # a round evaluates 73 nodes (25 + 48) on every open subinterval, and
+        # the open subintervals of a round are halves of the last round's
+        blocks = [n // 73 for n in sizes]
+        assert len(sizes) >= 2 and blocks[0] == 1
+        assert all(n % 73 == 0 for n in sizes)
+        assert all(b % 2 == 0 and b <= 2 * prev for prev, b in zip(blocks, blocks[1:]))
+
+    @pytest.mark.parametrize("x", [-3.0, 0.0, 1.5, 4.0])
+    def test_agrees_with_scipy_quad(self, ref_model, x):
+        # the option integrand of a book request: one 744 h month, its
+        # forward-curve integrand over the month before the first fixing
+        from scipy.integrate import quad
+
+        tau = 2160.0
+        strip = ip.DeliverySet.from_hours(tau + np.arange(744.0))
+        t, expiry = tau - 744.0, tau - 24.0
+        futures = ip.futures_price(ref_model, t, strip, {t: x})
+
+        def phi(s):
+            return ip.price_generating(ref_model, s, tau, x) / futures
+
+        expected, _ = quad(lambda s: float(phi(s)) ** 2, t, expiry, epsrel=1e-8, limit=200)
+        assert ip.integrated_vol(phi, t, expiry) == pytest.approx(math.sqrt(expected), rel=1e-10)
+
+    def test_step_integrand_against_closed_form(self):
+        # a jump anywhere in the span, the central gap of a subinterval's
+        # rules included, is found by refinement and not accepted early
+        for jump in np.linspace(0.01, 3.99, 400):
+            value = ip.integrated_vol(lambda s: np.where(s > jump, 2.0, 1.0), 0.0, 4.0)
+            assert value == pytest.approx(math.sqrt(jump + 4.0 * (4.0 - jump)), rel=1e-10)
+
+    @pytest.mark.parametrize("t", [2161.5, 2170.0, 2250.0, 2400.0])
+    def test_integrand_past_expiry_adds_nothing(self, ref_model, t):
+        # price_generating drops to 0 after tau + epsilon = 2161
+        def phi(s):
+            return ip.price_generating(ref_model, s, 2160.0, 2.0)
+
+        expected = ip.integrated_vol(phi, 2088.0, 2161.0)
+        assert ip.integrated_vol(phi, 2088.0, t) == pytest.approx(expected, rel=1e-10)
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(NumericError, match="not finite"):
+            ip.integrated_vol(lambda s: np.where(s > 2.0, np.nan, 1.0), 0.0, 4.0)
+
+    def test_noisy_integrand_hits_the_subinterval_cap(self):
+        rng = np.random.default_rng(0)
+        sizes = []
+
+        def phi(s):
+            sizes.append(s.size)
+            return 1.0 + rng.random(s.size)
+
+        with pytest.raises(NumericError, match="200 subintervals"):
+            ip.integrated_vol(phi, 0.0, 10.0)
+        # every subinterval ever opened is evaluated once, and a binary tree
+        # with at most 200 leaves has fewer than 400 nodes
+        assert sum(sizes) < 2 * 200 * 73
+        assert max(sizes) <= 200 * 73
+
+    def test_bad_integrand_shape_rejected(self):
+        with pytest.raises(DomainError, match="shape"):
+            ip.integrated_vol(lambda s: np.ones(3), 0.0, 1.0)
+
+    @given(st.floats(0.01, 5.0) | st.floats(-5.0, -0.01),
+           st.floats(-0.15, 0.15, allow_subnormal=False),
+           st.floats(0.0, 1000.0), st.floats(0.0, 1000.0, allow_subnormal=False))
+    def test_exponential_integrand_closed_form(self, a, c, u, span):
+        t = u + span
+        value = ip.integrated_vol(lambda s: a * np.exp(c * s), u, t)
+        assert value == pytest.approx(exponential_vol(a, c, u, t), rel=1e-10)
+
+    def test_import_and_call_leave_scipy_unloaded(self):
+        # a fresh interpreter, so modules other tests imported do not count
+        probe = ("import json, sys, intrinsicprice as ip\n"
+                 "ip.integrated_vol(lambda s: ip.price_generating(ip.reference_model()[0], s,"
+                 " 2160.0, 1.0), 1400.0, 2136.0)\n"
+                 "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+        package_root = os.path.dirname(os.path.dirname(ip.__file__))
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": package_root})
+        assert json.loads(run.stdout) == []
+
+
+def exponential_vol(a: float, c: float, u: float, t: float) -> float:
+    """``sqrt(int_u^t (a e^{c s})^2 ds) = sqrt(a^2 (e^{2ct} - e^{2cu}) / (2c))``,
+    written with ``expm1`` so that a small ``c (t - u)`` loses no digits."""
+    if c == 0.0:
+        return abs(a) * math.sqrt(t - u)
+    return abs(a) * math.exp(c * u) * math.sqrt(math.expm1(2.0 * c * (t - u)) / (2.0 * c))
 
 
 def test_norm_cdf_matches_scipy_ndtr():

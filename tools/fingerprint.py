@@ -13,6 +13,10 @@ output directories.  The set:
   ``name mean std_error`` line per check, the numbers as ``float.hex``, so
   equal files mean equal estimates to the last bit, not to the six printed
   decimals (300,000 paths are one full batch and a ragged 37,856-path one);
+- ``integrated_vol`` in full precision, as ``float.hex``: demo 04's integral
+  and the option integrals of three ``curve_batch`` months (the cases of
+  ``perfbench/workloads.py``), so a change to the quadrature shows to the
+  last bit;
 - the stdout of the six demos, and the CSV that demo 03 writes;
 - ``price forward``, ``price futures`` on a 744 h strip, and ``price option``
   for both families, with and without ``--conventional``;
@@ -59,6 +63,27 @@ model, theta = reference_model()
 with open("verify_seed0.hex", "w") as fh:
     for c in run_verification_suite(model, theta, McConfig(n_paths=300_000, seed=0)):
         fh.write(f"{c.name} {c.estimate.mean.hex()} {c.estimate.std_error.hex()}\\n")
+"""
+
+QUADRATURE_HEX_SCRIPT = """
+import math, sys
+sys.path.insert(0, sys.argv[1])                  # perfbench/, for the cases
+from workloads import curve_case
+from intrinsicprice import DeliverySet, futures_price, integrated_vol, price_generating
+from intrinsicprice.data import reference_model
+model, _ = reference_model()
+sd = math.sqrt(model.ou.stationary_variance)
+with open("integrated_vol.hex", "w") as fh:
+    vol = integrated_vol(lambda s: price_generating(model, s, 2160.0, 2.0), 2088.0, 2136.0)
+    fh.write(f"demo_04 {vol.hex()}\\n")
+    for k in (0, 19, 47):
+        case = curve_case(k, sd)
+        taus, t, x = case["taus"], case["t"], case["x"]
+        fut = futures_price(model, t, DeliverySet.from_hours(taus), {t: x})
+        first = float(taus[0])
+        vol = integrated_vol(lambda s: price_generating(model, s, first, x) / fut,
+                             t, first - model.conv.delta)
+        fh.write(f"curve_batch_{k} {vol.hex()}\\n")
 """
 
 TAU = 2160.0                                   # a delivery 90 days past the epoch
@@ -118,6 +143,8 @@ def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     subprocess.run([sys.executable, "-c", SETUP_SCRIPT], cwd=out, env=env, check=True)
     subprocess.run([sys.executable, "-c", ORACLE_HEX_SCRIPT], cwd=out, env=env, check=True)
+    subprocess.run([sys.executable, "-c", QUADRATURE_HEX_SCRIPT, str(ROOT / "perfbench")],
+                   cwd=out, env=env, check=True)
     for name, argv in CLI_RUNS:
         run(out, name, ["-m", "intrinsicprice", *argv], env)
     for demo in DEMOS:
