@@ -245,8 +245,12 @@ def _cmd_risk_premium(args) -> int:
     model, theta = load_model_file(args.params)
     if args.t_step <= 0 or args.t_end < args.t_start:
         raise DomainError("need t_step > 0 and t_end >= t_start")
-    n_points = int(np.floor((args.t_end - args.t_start) / args.t_step + 1e-9)) + 1
-    t_grid = args.t_start + args.t_step * np.arange(n_points)
+    try:
+        n_points = int(np.floor((args.t_end - args.t_start) / args.t_step + 1e-9)) + 1
+        t_grid = args.t_start + args.t_step * np.arange(n_points)
+    except (OverflowError, ValueError):   # past the float range, or past any array's size
+        raise DomainError(f"--t-step {args.t_step!r} gives more grid points than an array "
+                          "can hold") from None
     premium = risk_premium(model, theta, t_grid, args.tau, args.x_tilde)
     lines = ["t,premium"] + [f"{t!r},{pi!r}" for t, pi in zip(t_grid.tolist(), premium.tolist())]
     Path(args.out).write_text("\n".join(lines) + "\n")

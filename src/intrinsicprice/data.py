@@ -3,11 +3,12 @@
 The file format is one header row and comma-separated columns
 ``timestamp, load, day_ahead, intraday``: ISO-8601 hourly timestamps with
 no gaps or duplicates, decimal points, and empty fields for missing
-prices.  Missing load is an error; missing prices merely shrink the
-calibration window.  The row loop :func:`_check_rows` is the
-specification of a data row: :func:`load_series` parses blocks of rows
-column by column and hands every block that does not parse cleanly to
-that loop, so an error names the first bad row with the loop's message.
+prices.  Missing load and price text that is not finite are errors;
+missing prices merely shrink the calibration window.  The row loop
+:func:`_check_rows` is the specification of a data row:
+:func:`load_series` parses blocks of rows column by column and hands
+every block that does not parse cleanly to that loop, so an error names
+the first bad row with the loop's message.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _check_rows(rows, cols, header, prev, path):
                     from None
             if name == "load" and not np.isfinite(values[-1]):
                 raise ParseError(f"{where}: missing load value")
+            if text and not np.isfinite(values[-1]):
+                raise ParseError(f"{where}: column {name!r}: {row[col]!r} is not a finite number")
     return stamps, *map(np.array, columns)
 
 
@@ -100,6 +103,10 @@ def _parse_columns(rows, cols, prev):
     if (not hourly or any(ts.minute or ts.second or ts.microsecond for ts in stamps)
             or not np.isfinite(columns[0]).all()):
         return None
+    for col, values in zip(cols[2:], columns[1:]):
+        # a missing quote is an empty field; price text that is not finite breaks a rule
+        if any(rows[k][1][col].strip() for k in np.flatnonzero(~np.isfinite(values)).tolist()):
+            return None
     return stamps, *columns
 
 

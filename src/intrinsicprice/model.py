@@ -174,8 +174,9 @@ def _stopped_times(t: float, taus: np.ndarray, conv: MarketConventions) -> np.nd
 
 def required_state_times(t: float, deliveries: DeliverySet, conv: MarketConventions) -> list[float]:
     """Sorted unique times ``min(t, tau_i - delta)`` at which the driver state
-    must be known to price the futures contract at time ``t``."""
-    return np.unique(_stopped_times(t, np.array(deliveries.hours()), conv)).tolist()
+    must be known to price the futures contract at time ``t``.  A set, not
+    ``np.unique``, whose first call imports ``numpy.ma``."""
+    return sorted(set(_stopped_times(t, np.array(deliveries.hours()), conv).tolist()))
 
 
 def futures_price(model: ModelQ, t: float, deliveries: DeliverySet,

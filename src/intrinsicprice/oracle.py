@@ -2,10 +2,13 @@
 
 Terminal quantities are sampled with exact OU transitions so that any
 disagreement measures formula error, not discretisation error; fine Euler
-grids appear only in the pathwise representation check.  Estimates are
-produced in fixed-size batches, each drawing from an independent
-substream of the master seed, with a fixed reduction order, so a given
-seed is bitwise reproducible.  A batch is drawn in row blocks, one block
+grids appear only in the pathwise representation check.  Every estimator
+that moves the state draws its exact walk through ``_run_walk_batches``,
+and the three martingale checks share one tower loop, ``_tower_checks``,
+each giving only its quote and closed form.  Estimates are produced in
+fixed-size batches, each drawing from an independent substream of the
+master seed, with a fixed reduction order, so a given seed is bitwise
+reproducible.  A batch is drawn in row blocks, one block
 ahead on one helper thread while the main thread values the block before
 (``_draw_ahead``).  The helper only draws, one block at a time and in
 order, so the normals are those of a whole-batch draw, and each batch is
@@ -18,7 +21,6 @@ it, which proves they have statistical power.
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -31,7 +33,7 @@ from .errors import DomainError, NumericError
 from .measure import _terminal_density, risk_premium, to_risk_neutral_state
 from .model import (ModelQ, forward_price, futures_price, intraday_price,
                     day_ahead_price, intrinsic_price, price_generating,
-                    tradable_price)
+                    required_state_times, tradable_price)
 from .options import (LognormalOptionInputs, NormalOptionInputs,
                       bachelier_call, bachelier_put, black76_call, black76_put)
 from .ou import OuParams, _step_law, _walk, transition
@@ -168,19 +170,14 @@ def _scale(est: McEstimate, factor: float, offset: float = 0.0) -> McEstimate:
                       std_error=abs(factor) * est.std_error, n_paths=est.n_paths)
 
 
-def _exact_walk(ou: OuParams, x, steps, z, drift: float) -> list:
-    """The states after each of the exact ``steps`` from ``x`` under the
-    constant ``drift``, the shock of step ``k`` being its transition sd times
-    column ``k`` of the standard normals ``z``."""
+def _run_walk_batches(ou: OuParams, x, steps, cfg: McConfig, payoff) -> McEstimate:
+    """Estimate the mean of ``payoff(states)``, ``states`` being the list of
+    states after each of the exact ``steps`` from ``x`` under the mutation
+    drift of ``cfg``; the shock of step ``k`` is its transition sd times
+    column ``k`` of the batch's standard normals."""
     sds = _step_law(ou, steps)[2].tolist()
-    return _walk(ou, x, steps, (sd * z[:, k] for k, sd in enumerate(sds)), drift)
-
-
-def _run_step_batches(ou: OuParams, x: float, dt: float, cfg: McConfig, payoff) -> McEstimate:
-    """Estimate the mean of ``payoff(X)`` for ``X`` one exact step ``dt`` on
-    from the state ``x``, under the mutation drift of ``cfg``."""
-    return _run_batches(cfg, 1, lambda z: payoff(
-        _exact_walk(ou, x, [dt], z, cfg.mutation_drift)[0]))
+    return _run_batches(cfg, len(sds), lambda z: payoff(_walk(
+        ou, x, steps, (sd * z[:, k] for k, sd in enumerate(sds)), cfg.mutation_drift)))
 
 
 def _w_integral_law(ou: OuParams, h: float) -> tuple[float, float, float]:
@@ -217,8 +214,8 @@ def mc_forward(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -
     if horizon < 0:
         raise DomainError("mc_forward requires t <= tau + epsilon")
     g_tau_e = evaluate(model.load_seasonality, tau + model.conv.epsilon)
-    return _run_step_batches(model.ou, x_t, horizon, cfg,
-                             lambda x_end: intrinsic_price(model, g_tau_e + x_end, tau))
+    return _run_walk_batches(model.ou, x_t, [horizon], cfg,
+                             lambda states: intrinsic_price(model, g_tau_e + states[0], tau))
 
 
 def mc_tradable(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -> McEstimate:
@@ -230,8 +227,8 @@ def mc_day_ahead_tower(model: ModelQ, tau: float, x_at_fix: float, cfg: McConfig
     """Average at-delivery quote from the fixing state against
     ``e^{r delta} S(tau)``."""
     conv = model.conv
-    estimate = _run_step_batches(model.ou, x_at_fix, conv.delta, cfg,
-                                 lambda x: intraday_price(model, tau, x))
+    estimate = _run_walk_batches(model.ou, x_at_fix, [conv.delta], cfg,
+                                 lambda states: intraday_price(model, tau, states[0]))
     closed = math.exp(conv.hourly_rate * conv.delta) * day_ahead_price(model, tau, x_at_fix)
     return OracleCheck("day-ahead tower identity", closed, estimate)
 
@@ -248,15 +245,8 @@ def mc_futures(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
     steps = np.diff([t] + [tau + conv.epsilon for tau in taus])
     g_vals = [evaluate(model.load_seasonality, tau + conv.epsilon) for tau in taus]
     weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / len(taus)
-
-    def values(z):
-        states = _exact_walk(model.ou, x_t, steps, z, cfg.mutation_drift)
-        payoff = np.zeros(z.shape[0])
-        for k, x in enumerate(states):
-            payoff += intrinsic_price(model, g_vals[k] + x, taus[k])
-        return weight * payoff
-
-    return _run_batches(cfg, len(taus), values)
+    return _run_walk_batches(model.ou, x_t, steps, cfg, lambda states: weight * sum(
+        intrinsic_price(model, g + x, tau) for g, x, tau in zip(g_vals, states, taus)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +272,8 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
 
     # (a) direct: real-world transition of the centred deviation, exact shift at tau
     tau_shift = to_risk_neutral_state(0.0, ou, theta, tau, mode="exact")
-    est_a = _run_step_batches(ou, x_tilde_t, span, cfg,
-                              lambda x: intraday_price(model, tau, x + tau_shift))
+    est_a = _run_walk_batches(ou, x_tilde_t, [span], cfg,
+                              lambda states: intraday_price(model, tau, states[0] + tau_shift))
 
     # (b) density-weighted: pricing-measure sampling of (W increment, OU integral)
     density_drift = ou.lam * theta
@@ -411,21 +401,33 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float,
 # martingale checks (nested simulation)
 # ---------------------------------------------------------------------------
 
-def _checkpoints(t_list) -> list[float]:
-    """The martingale checkpoints as floats, which must strictly increase."""
+def _tower_checks(model: ModelQ, label: str, t_list, x_start, cfg: McConfig,
+                  needs, quote, closed) -> list[OracleCheck]:
+    """For consecutive checkpoints ``t < u`` of the strictly increasing
+    ``t_list``, the Monte Carlo mean of ``quote(u, states)`` from a fixed
+    state at ``t`` against ``closed(t, backbone)``.
+
+    The backbone is the conditional mean (zero shocks) from ``x_start``, or
+    from ``x0`` when ``x_start`` is ``None``, under the mutation drift,
+    through the checkpoints and every time ``needs(u)`` names.  ``states``
+    maps the times of ``needs(u)`` past ``t`` to their states on the exact
+    walk from the backbone at ``t``, and earlier times to the backbone."""
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise DomainError("t_list must be strictly increasing")
-    return t_list
-
-
-def _backbone(model: ModelQ, times, x_start, cfg: McConfig) -> dict[float, float]:
-    """The conditioning state at each of the increasing ``times``: the
-    conditional mean (zero shocks) from ``x_start`` at the first of them, or
-    from ``x0`` when ``x_start`` is ``None``, under the mutation drift."""
+    times = sorted(set(t_list).union(*map(needs, t_list[1:])))
     x = model.ou.x0 if x_start is None else float(x_start)
-    return dict(zip(times, [x] + _walk(model.ou, x, np.diff(times), itertools.repeat(0.0),
-                                       cfg.mutation_drift)))
+    backbone = dict(zip(times, [x] + _walk(model.ou, x, np.diff(times), [0.0] * (len(times) - 1),
+                                           cfg.mutation_drift)))
+    checks = []
+    for t, u in zip(t_list, t_list[1:]):
+        ahead = [s for s in needs(u) if s > t]
+        estimate = _run_walk_batches(model.ou, backbone[t], np.diff([t] + ahead), cfg,
+                                     lambda drawn: quote(u, {**backbone,
+                                                             **dict(zip(ahead, drawn))}))
+        checks.append(OracleCheck(f"{label} martingale {t:g}h -> {u:g}h",
+                                  closed(t, backbone), estimate))
+    return checks
 
 
 def mc_martingale_check(model: ModelQ, t_list, tau: float, cfg: McConfig,
@@ -438,65 +440,43 @@ def mc_martingale_check(model: ModelQ, t_list, tau: float, cfg: McConfig,
     comparison is a genuine conditional expectation test from a fixed
     state.
     """
-    t_list = _checkpoints(t_list)
-    if t_list[-1] > tau + model.conv.epsilon:
+    if float(t_list[-1]) > tau + model.conv.epsilon:
         raise DomainError("martingale checkpoints must not pass tau + epsilon")
-    backbone = _backbone(model, t_list, x_start, cfg)
     r_h = model.conv.hourly_rate
 
-    def quote(t, state):
+    def quote(t, states):
         if discounted:
-            return np.exp(-r_h * np.asarray(t)) * tradable_price(model, t, tau, state)
-        return forward_price(model, t, tau, state)
+            return np.exp(-r_h * np.asarray(t)) * tradable_price(model, t, tau, states[t])
+        return forward_price(model, t, tau, states[t])
 
-    checks = []
     label = "discounted tradable" if discounted else "forward"
-    for t, u in zip(t_list, t_list[1:]):
-        estimate = _run_step_batches(model.ou, backbone[t], u - t, cfg,
-                                     lambda state: quote(u, state))
-        closed = float(quote(t, backbone[t]))
-        checks.append(OracleCheck(f"{label} martingale {t:g}h -> {u:g}h", closed, estimate))
-    return checks
+    return _tower_checks(model, label, t_list, x_start, cfg, lambda u: [u], quote,
+                         lambda t, backbone: float(quote(t, backbone)))
 
 
 def mc_futures_martingale(model: ModelQ, t_list, deliveries: DeliverySet, cfg: McConfig,
                           x_start: float | None = None) -> list[OracleCheck]:
     """Same tower test for the futures price, crossing fixing times.
 
-    The backbone state history (conditional means) supplies the frozen
-    forwards for fixings that lie in the past of a checkpoint.
+    The quote at ``u`` is the weighted sum of the forwards at ``min(u,
+    fixing)``, so a delivery fixed by ``t`` contributes its forward frozen
+    at the backbone state of its fixing.
     """
     conv = model.conv
-    t_list = _checkpoints(t_list)
     taus = deliveries.hours()
     fixings = [tau - conv.delta for tau in taus]
-    if fixings[0] < t_list[0]:
+    if fixings[0] < float(t_list[0]):
         raise DomainError("first checkpoint must not lie beyond the first fixing")
     weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / len(taus)
-    # deterministic backbone through checkpoints and fixings
-    backbone = _backbone(model, sorted(set(t_list) | {f for f in fixings if f >= t_list[0]}),
-                         x_start, cfg)
 
-    checks = []
-    for t, u in zip(t_list, t_list[1:]):
-        frozen = sum(weight * forward_price(model, f, tau, backbone[f])
-                     for f, tau in zip(fixings, taus) if f <= t)
-        live = [(f, tau) for f, tau in zip(fixings, taus) if f > t]
-        sim_times = sorted({min(u, f) for f, _ in live})
+    def quote(u, states):
+        # fixings increase, so the frozen terms are summed first
+        return sum(weight * forward_price(model, min(u, f), tau, states[min(u, f)])
+                   for f, tau in zip(fixings, taus))
 
-        def values(z):
-            state = dict(zip(sim_times, _exact_walk(model.ou, backbone[t],
-                                                    np.diff([t] + sim_times), z,
-                                                    cfg.mutation_drift)))
-            total = np.full(z.shape[0], frozen)
-            for f, tau in live:
-                total = total + weight * forward_price(model, min(u, f), tau, state[min(u, f)])
-            return total
-
-        estimate = _run_batches(cfg, max(len(sim_times), 1), values)
-        closed = futures_price(model, t, deliveries, backbone)
-        checks.append(OracleCheck(f"futures martingale {t:g}h -> {u:g}h", closed, estimate))
-    return checks
+    return _tower_checks(model, "futures", t_list, x_start, cfg,
+                         lambda u: required_state_times(u, deliveries, conv), quote,
+                         lambda t, backbone: futures_price(model, t, deliveries, backbone))
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,18 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not out.exists()
 
+    # 2e303 points are past any array's size; 2000 / 1e-310 is past the float range
+    @pytest.mark.parametrize("step", ["1e-300", "1e-310"])
+    def test_grid_past_any_array_size_names_the_step(self, step, tmp_path, params_file, capsys):
+        out = tmp_path / "premium.csv"
+        code = cli.main(["risk-premium", "--params", str(params_file), "--tau", "2160",
+                         "--t-start", "0", "--t-end", "2000", "--t-step", step,
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --t-step {float(step)!r} gives more grid points than an array can hold"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--params", "{params}", "--span", "800", "--seed", "-3", "--out", "{out}"],
         ["verify", "--paths", "1000", "--nested-paths", "1000", "--seed", "-1"],

@@ -247,6 +247,31 @@ class TestColumnwiseBlocks:
             ip.load_series(path)
 
 
+class TestNonFinitePrices:
+    """Price text that parses to a non-finite float is a ParseError naming
+    the line and the column, in the first block and after clean ones; an
+    empty field stays a missing quote."""
+
+    @pytest.mark.parametrize("r", [5, _BLOCK_ROWS + 3], ids=["first-block", "later-block"])
+    @pytest.mark.parametrize("column", ["day_ahead", "intraday"])
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "INF", "-Infinity", "NaN", " +inf "])
+    def test_names_line_and_column(self, tmp_path, r, column, text):
+        rows = [row.split(",") for row in TestColumnwiseBlocks.hourly_rows(_BLOCK_ROWS + 10)]
+        rows[r][2 if column == "day_ahead" else 3] = text
+        path = write_csv(tmp_path / "d.csv", [",".join(row) for row in rows])
+        with pytest.raises(ParseError, match=rf"d\.csv:{r + 2}: column {column!r}: "
+                                             rf"{re.escape(repr(text))} is not a finite number"):
+            ip.load_series(path)
+
+    def test_column_pass_hands_the_block_to_the_row_loop(self):
+        rows = [(n + 2, row.split(",")) for n, row in
+                enumerate(TestColumnwiseBlocks.hourly_rows(8))]
+        rows[3][1][2] = ""
+        assert _parse_columns(rows, [0, 1, 2, 3], None) is not None
+        rows[6][1][3] = "nan"
+        assert _parse_columns(rows, [0, 1, 2, 3], None) is None
+
+
 def test_trailing_separator_loads_the_same_series(tmp_path):
     rows = ["2015-06-28 00:00:00,55.1,30.2,31.3", "2015-06-28 01:00:00,54.0,,30.8",
             "2015-06-28 02:00:00,53.5,29.1,"]

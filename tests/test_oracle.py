@@ -9,6 +9,7 @@ import pytest
 import intrinsicprice as ip
 from intrinsicprice import DomainError, cli
 from intrinsicprice.oracle import _BATCH, _run_batches, _w_walk
+from intrinsicprice.ou import _step_law, _walk
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,75 @@ class TestMartingaleChecks:
         with pytest.raises(DomainError, match=r"whole number of 4 \* cfg.time_step"):
             ip.euler_representation_error(ref_model, 268.0, 100.0, span=0.1, cfg=cfg,
                                           x_t0=0.0)
+
+
+class TestFuturesMartingaleFrozenForwards:
+    """Checkpoints past fixings: a delivery fixed by the earlier checkpoint
+    enters the quote as its forward frozen at the backbone state of its
+    fixing, and only the later deliveries are drawn."""
+
+    STRIP = [2160.0 + k for k in range(12)]
+    FIX = 2160.0 - 24.0                          # the first fixing
+    T_LIST = [FIX - 24.0, FIX + 3.5, FIX + 7.5, FIX + 30.0]
+
+    def checks(self, model, drift=0.0):
+        cfg = ip.McConfig(n_paths=100_000, seed=17, mutation_drift=drift)
+        return ip.mc_futures_martingale(model, self.T_LIST, ip.DeliverySet.from_hours(self.STRIP),
+                                        cfg, x_start=1.0)
+
+    def test_passes_and_the_mutation_fails(self, ref_model):
+        checks = self.checks(ref_model)
+        assert [c.name for c in checks] == [
+            "futures martingale 2112h -> 2139.5h", "futures martingale 2139.5h -> 2143.5h",
+            "futures martingale 2143.5h -> 2166h"]
+        assert all(c.passed for c in checks)
+        assert not self.checks(ref_model, drift=0.01)[0].passed
+
+    def test_matches_the_frozen_and_live_sums(self, ref_model):
+        # the estimate split into the forwards fixed by t, summed once, and
+        # the live ones drawn from the backbone state at t
+        ou, conv = ref_model.ou, ref_model.conv
+        cfg = ip.McConfig(n_paths=100_000, seed=17)
+        fixings = [tau - conv.delta for tau in self.STRIP]
+        weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / len(self.STRIP)
+        times = sorted(set(self.T_LIST) | set(fixings))
+        backbone = dict(zip(times, [1.0] + _walk(ou, 1.0, np.diff(times), [0.0] * len(times))))
+        checks = self.checks(ref_model)
+        n_frozen = []
+        for check, t, u in zip(checks, self.T_LIST, self.T_LIST[1:]):
+            frozen = sum(weight * ip.forward_price(ref_model, f, tau, backbone[f])
+                         for f, tau in zip(fixings, self.STRIP) if f <= t)
+            live = [(f, tau) for f, tau in zip(fixings, self.STRIP) if f > t]
+            n_frozen.append(len(self.STRIP) - len(live))
+            sim_times = sorted({min(u, f) for f, _ in live})
+            steps = np.diff([t] + sim_times)
+            sds = _step_law(ou, steps)[2].tolist()
+
+            def values(z):
+                state = dict(zip(sim_times, _walk(ou, backbone[t], steps,
+                                                  (sd * z[:, k] for k, sd in enumerate(sds)))))
+                total = np.full(len(z), frozen)
+                for f, tau in live:
+                    total = total + weight * ip.forward_price(ref_model, min(u, f), tau,
+                                                              state[min(u, f)])
+                return total
+
+            assert check.estimate == _run_batches(cfg, max(len(sim_times), 1), values)
+            assert check.closed_form == ip.futures_price(
+                ref_model, t, ip.DeliverySet.from_hours(self.STRIP), backbone)
+        assert n_frozen == [0, 4, 8]
+
+    def test_no_start_state_is_x0(self, ref_model):
+        cfg = ip.McConfig(n_paths=20_000, seed=5)
+        x0 = ref_model.ou.x0
+        for discounted in (False, True):
+            assert (ip.mc_martingale_check(ref_model, [1824.0, 1992.0, 2136.0], 2160.0, cfg,
+                                           discounted=discounted)
+                    == ip.mc_martingale_check(ref_model, [1824.0, 1992.0, 2136.0], 2160.0, cfg,
+                                              x_start=x0, discounted=discounted))
+        strip = ip.DeliverySet.from_hours(self.STRIP)
+        assert (ip.mc_futures_martingale(ref_model, self.T_LIST, strip, cfg)
+                == ip.mc_futures_martingale(ref_model, self.T_LIST, strip, cfg, x_start=x0))
 
 
 def test_mutation_drift_shifts_the_state_by_the_exact_law(ref_model):

@@ -13,6 +13,11 @@ output directories.  The set:
   ``name mean std_error`` line per check, the numbers as ``float.hex``, so
   equal files mean equal estimates to the last bit, not to the six printed
   decimals (300,000 paths are one full batch and a ragged 37,856-path one);
+- the martingale checks in the same full precision, as
+  ``martingale_seed0.hex`` (300,000 paths, seed 0): the futures martingale
+  on a 12 h strip with checkpoints before, between and past its fixings, so
+  the frozen forwards count, and the forward martingale from ``x0``
+  (``x_start=None``);
 - ``integrated_vol`` in full precision, as ``float.hex``: demo 04's integral
   and the option integrals of three ``curve_batch`` months (the cases of
   ``perfbench/workloads.py``), so a change to the quadrature shows to the
@@ -62,6 +67,22 @@ from intrinsicprice.oracle import McConfig, run_verification_suite
 model, theta = reference_model()
 with open("verify_seed0.hex", "w") as fh:
     for c in run_verification_suite(model, theta, McConfig(n_paths=300_000, seed=0)):
+        fh.write(f"{c.name} {c.estimate.mean.hex()} {c.estimate.std_error.hex()}\\n")
+"""
+
+MARTINGALE_HEX_SCRIPT = """
+from intrinsicprice import DeliverySet, mc_futures_martingale, mc_martingale_check
+from intrinsicprice.data import reference_model
+from intrinsicprice.oracle import McConfig
+model, _ = reference_model()
+cfg = McConfig(n_paths=300_000, seed=0)
+strip = DeliverySet.from_hours([2160.0 + k for k in range(12)])
+fix = 2160.0 - model.conv.delta
+checks = (mc_futures_martingale(model, [fix - 24.0, fix + 3.5, fix + 7.5, fix + 30.0], strip,
+                                cfg, x_start=1.0)
+          + mc_martingale_check(model, [1824.0, 1992.0, 2136.0], 2160.0, cfg))
+with open("martingale_seed0.hex", "w") as fh:
+    for c in checks:
         fh.write(f"{c.name} {c.estimate.mean.hex()} {c.estimate.std_error.hex()}\\n")
 """
 
@@ -143,6 +164,7 @@ def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     subprocess.run([sys.executable, "-c", SETUP_SCRIPT], cwd=out, env=env, check=True)
     subprocess.run([sys.executable, "-c", ORACLE_HEX_SCRIPT], cwd=out, env=env, check=True)
+    subprocess.run([sys.executable, "-c", MARTINGALE_HEX_SCRIPT], cwd=out, env=env, check=True)
     subprocess.run([sys.executable, "-c", QUADRATURE_HEX_SCRIPT, str(ROOT / "perfbench")],
                    cwd=out, env=env, check=True)
     for name, argv in CLI_RUNS:
