@@ -251,6 +251,9 @@ def _cmd_risk_premium(args) -> int:
     except (OverflowError, ValueError):   # past the float range, or past any array's size
         raise DomainError(f"--t-step {args.t_step!r} gives more grid points than an array "
                           "can hold") from None
+    except MemoryError:                   # numpy could not allocate the grid
+        raise DomainError(f"--t-step {args.t_step!r} gives {n_points} grid points, more than "
+                          "memory can hold") from None
     premium = risk_premium(model, theta, t_grid, args.tau, args.x_tilde)
     lines = ["t,premium"] + [f"{t!r},{pi!r}" for t, pi in zip(t_grid.tolist(), premium.tolist())]
     Path(args.out).write_text("\n".join(lines) + "\n")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelQ, _legs, _pick_leg
+from .model import ModelQ, _horizon_and_load, _leg_moments, _pick_leg
 from .ou import OuParams
 from .seasonality import SeasonalityModel
 
@@ -100,13 +100,13 @@ def _terminal_density(drift: float, w_increments, grid) -> np.ndarray:
     return np.exp(drift * w_end - 0.5 * drift**2 * (grid[-1] - grid[0]))
 
 
-def _real_world_legs(model: ModelQ, theta: float, t, tau, x_tilde):
-    """Real-world leg moments: the pricing-measure kernel at the deviation
-    ``x_tilde`` with the load moved by ``e^{-lam eps}(1 - e^{-lam tau}) sigma theta``."""
+def _real_world_legs(model: ModelQ, theta: float, tau, horizon, g_tau_e, x_tilde):
+    """Real-world leg moments: the pricing-measure kernel at ``x_tilde``, with
+    the load ``g_tau_e`` moved by ``e^{-lam eps}(1 - e^{-lam tau}) sigma theta``."""
     ou = model.ou
     tau_arr = np.asarray(tau, dtype=float)
     shift = np.exp(-ou.lam * model.conv.epsilon) * -np.expm1(-ou.lam * tau_arr) * ou.sigma * theta
-    return _legs(model, t, tau, x_tilde, load_shift=shift)
+    return _leg_moments(model.supply, ou, g_tau_e + shift, horizon, x_tilde)
 
 
 def supply_leg_real_world_expectation(model: ModelQ, theta: float, i: int, t, tau, x_tilde):
@@ -118,7 +118,8 @@ def supply_leg_real_world_expectation(model: ModelQ, theta: float, i: int, t, ta
     that carries the accumulated measure drift.  At ``theta = 0`` it
     coincides exactly with :func:`intrinsicprice.model.supply_leg_expectation`.
     """
-    return _pick_leg(i, _real_world_legs(model, theta, t, tau, x_tilde))
+    horizon, g_tau_e = _horizon_and_load(model, t, tau)
+    return _pick_leg(i, _real_world_legs(model, theta, tau, horizon, g_tau_e, x_tilde))
 
 
 def risk_premium(model: ModelQ, theta: float, t, tau, x_tilde):
@@ -126,9 +127,11 @@ def risk_premium(model: ModelQ, theta: float, t, tau, x_tilde):
 
     Closed form: ``(L1 - L2) - (L1~ - L2~)`` with the pricing-measure legs
     evaluated at the first-order shifted state.  Zero exactly when
-    ``theta = 0``.
+    ``theta = 0``.  Both pairs of legs share one horizon check and one
+    evaluation of the load seasonality at ``tau_e``.
     """
     x = to_risk_neutral_state(x_tilde, model.ou, theta, t)
-    _, leg1, leg2 = _legs(model, t, tau, x)
-    _, leg1_p, leg2_p = _real_world_legs(model, theta, t, tau, x_tilde)
+    horizon, g_tau_e = _horizon_and_load(model, t, tau)
+    leg1, leg2 = _leg_moments(model.supply, model.ou, g_tau_e, horizon, x)
+    leg1_p, leg2_p = _real_world_legs(model, theta, tau, horizon, g_tau_e, x_tilde)
     return (leg1 - leg2) - (leg1_p - leg2_p)

@@ -59,8 +59,9 @@ class ModelQ:
 
 def _checked_exp(exponent, context: str):
     exponent = np.asarray(exponent, dtype=float)
-    if np.any(np.abs(exponent) > _MAX_EXPONENT):
-        worst = float(np.max(np.abs(exponent)))
+    # one reduction; fmax skips a NaN, so a NaN exponent alone passes and gives a NaN
+    worst = float(np.fmax.reduce(np.abs(exponent), axis=None, initial=0.0))
+    if worst > _MAX_EXPONENT:
         raise NumericError(f"{context}: exponent magnitude {worst:.3g} exceeds {_MAX_EXPONENT:g}")
     return np.exp(exponent)
 
@@ -76,38 +77,42 @@ def intrinsic_price(model: ModelQ, load_at_tau_e, tau):
 
 def _leg_moments(supply: SupplyParams, ou: OuParams, g_tau_e, horizon, x):
     """Conditional moments ``E[exp(alpha_i (G_{tau_e} - beta_i)) | X_t = x]`` of
-    both supply legs over ``horizon = tau_e - t``; returns ``(L1, L2)``."""
+    both supply legs over ``horizon = tau_e - t``; returns ``(L1, L2)``.  Both
+    legs share one ``g_tau_e + m x`` and one ``1 - m^2``, ``m = e^{-lam horizon}``."""
     m = np.exp(-ou.lam * np.asarray(horizon, dtype=float))
+    mean = g_tau_e + m * x
+    decay = 1.0 - m * m
 
     def leg(alpha, beta):
-        convexity = alpha * ou.sigma**2 / (4.0 * ou.lam) * (1.0 - m * m)
+        convexity = alpha * ou.sigma**2 / (4.0 * ou.lam) * decay
         # one expression, so numpy reuses its temporaries on large arrays
-        exponent = alpha * ((g_tau_e + m * x + convexity) - beta)
+        exponent = alpha * ((mean + convexity) - beta)
         return _checked_exp(exponent, f"supply leg expectation (alpha={alpha})")
 
     return leg(supply.alpha1, supply.beta1), leg(supply.alpha2, supply.beta2)
 
 
-def _legs(model: ModelQ, t, tau, x, load_shift=0.0):
-    """Both supply-leg moments for delivery ``tau`` given ``X_t = x``, with the
-    load seasonality at ``tau_e`` moved by ``load_shift``.
-
-    Returns ``(horizon, L1, L2)`` with ``horizon = tau_e - t``, which must
-    not be negative.
-    """
+def _horizon_and_load(model: ModelQ, t, tau):
+    """The horizon ``tau_e - t`` for delivery ``tau``, which must not be
+    negative, and the load seasonality ``g(tau_e)``."""
     tau_e = np.asarray(tau, dtype=float) + model.conv.epsilon
     horizon = tau_e - np.asarray(t, dtype=float)
-    if np.any(horizon < 0):
+    if (horizon < 0).any():
         raise DomainError("supply leg moments require t <= tau + epsilon")
-    g_tau_e = evaluate(model.load_seasonality, tau_e) + load_shift
+    return horizon, evaluate(model.load_seasonality, tau_e)
+
+
+def _legs(model: ModelQ, t, tau, x):
+    """``(horizon, L1, L2)`` for delivery ``tau`` given ``X_t = x``, ``horizon = tau_e - t``."""
+    horizon, g_tau_e = _horizon_and_load(model, t, tau)
     return (horizon, *_leg_moments(model.supply, model.ou, g_tau_e, horizon, x))
 
 
 def _pick_leg(i: int, legs):
-    """Leg ``i`` (1 or 2) of a ``(horizon, L1, L2)`` triple from :func:`_legs`."""
+    """Leg ``i`` (1 or 2) of an ``(L1, L2)`` pair."""
     if i not in (1, 2):
         raise DomainError(f"supply leg must be 1 or 2, got {i}")
-    return legs[i]
+    return legs[i - 1]
 
 
 def supply_leg_expectation(model: ModelQ, i: int, t, tau, x):
@@ -116,7 +121,7 @@ def supply_leg_expectation(model: ModelQ, i: int, t, tau, x):
     Requires ``t <= tau_e``.  At ``t = tau_e`` the convexity term vanishes
     and the value is the realised supply leg.
     """
-    return _pick_leg(i, _legs(model, t, tau, x))
+    return _pick_leg(i, _legs(model, t, tau, x)[1:])
 
 
 def forward_price(model: ModelQ, t, tau, x):
@@ -176,7 +181,7 @@ def required_state_times(t: float, deliveries: DeliverySet, conv: MarketConventi
     """Sorted unique times ``min(t, tau_i - delta)`` at which the driver state
     must be known to price the futures contract at time ``t``.  A set, not
     ``np.unique``, whose first call imports ``numpy.ma``."""
-    return sorted(set(_stopped_times(t, np.array(deliveries.hours()), conv).tolist()))
+    return sorted(set(_stopped_times(t, np.fromiter(deliveries.taus, float), conv).tolist()))
 
 
 def futures_price(model: ModelQ, t: float, deliveries: DeliverySet,
@@ -189,13 +194,14 @@ def futures_price(model: ModelQ, t: float, deliveries: DeliverySet,
     (see :func:`required_state_times`) to the driver value there.
     """
     conv = model.conv
-    taus = np.array(deliveries.hours())
+    taus = np.fromiter(deliveries.taus, float)
     if taus[0] < conv.delta:
         raise DomainError(f"delivery at {taus[0]} h fixes before the series epoch")
     stops = _stopped_times(t, taus, conv)
+    times = stops[np.diff(stops, prepend=np.nan) != 0]   # each once, as stops never decrease
     try:
-        x = np.array([states[u] for u in stops.tolist()], dtype=float)
+        x = np.array([states[u] for u in times.tolist()], dtype=float)
     except KeyError as exc:
         raise DomainError(f"missing driver state at stopped time {exc.args[0]} h") from None
-    total = forward_price(model, stops, taus, x).sum()
+    total = forward_price(model, stops, taus, x[np.searchsorted(times, stops)]).sum()
     return float(np.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / taus.size * total)

@@ -85,16 +85,18 @@ _WEEKDAY_CLASSES = np.array([
 def _classify_days(day_indices: np.ndarray, epoch: _dt.date, cal: Calendar) -> np.ndarray:
     """Weekday class of each day index (days since ``epoch``).  Holidays are
     Sunday class; partial holidays and bridge days are Saturday class unless
-    they fall on a Sunday."""
+    they fall on a Sunday.  An empty date set is not looked up."""
     weekday = (day_indices + epoch.weekday()) % 7
     classes = _WEEKDAY_CLASSES[weekday]
 
     def listed(dates):
         return np.isin(day_indices, [(d - epoch).days for d in dates])
 
-    bridging = listed(cal.partial_holidays | cal.bridge_days) & (weekday != 6)
-    classes[bridging] = WeekdayClass.SAT_BRIDGE_PARTIAL
-    classes[listed(cal.holidays)] = WeekdayClass.SUN_HOLIDAY
+    bridging = cal.partial_holidays | cal.bridge_days
+    if bridging:
+        classes[listed(bridging) & (weekday != 6)] = WeekdayClass.SAT_BRIDGE_PARTIAL
+    if cal.holidays:
+        classes[listed(cal.holidays)] = WeekdayClass.SUN_HOLIDAY
     return classes
 
 
@@ -191,16 +193,17 @@ def _from_coefficients(beta: np.ndarray, cal: Calendar, epoch: _dt.date) -> Seas
 
 def evaluate(model: SeasonalityModel, tau):
     """Seasonal value at ``tau`` (scalar or array of hours since epoch), in
-    an array of the shape of ``tau``."""
+    an array of the shape of ``tau``; the annual phase is computed once."""
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < 0):
+    if (taus < 0).any():
         raise DomainError("seasonality is defined for tau >= 0 only")
     days, hours = _day_and_hour(taus)
     classes = _classify_days(days, model.epoch, model.calendar)
+    phase = _TWO_PI * taus / HOURS_PER_YEAR
     out = (model.level
            + model.trend * taus
-           + model.sin_annual * np.sin(_TWO_PI * taus / HOURS_PER_YEAR)
-           + model.cos_annual * np.cos(_TWO_PI * taus / HOURS_PER_YEAR)
+           + model.sin_annual * np.sin(phase)
+           + model.cos_annual * np.cos(phase)
            + model.dow_weights[classes]
            + model.hod_weights[hours])
     return out.reshape(np.shape(tau))

@@ -285,16 +285,18 @@ class TestUsageErrors:
         assert code == 2
 
     # each asks for an array of several PiB, which numpy refuses before allocating
-    @pytest.mark.parametrize("argv", [
-        ["risk-premium", "--params", "{params}", "--tau", "2160", "--t-start", "0",
-         "--t-end", "2000", "--t-step", "1e-12", "--out", "{out}"],
-        ["simulate", "--params", "{params}", "--span", "1000000000000000", "--out", "{out}"],
+    @pytest.mark.parametrize("argv, err", [
+        (["risk-premium", "--params", "{params}", "--tau", "2160", "--t-start", "0",
+          "--t-end", "2000", "--t-step", "1e-12", "--out", "{out}"],
+         "error: --t-step 1e-12 gives 2000000000000001 grid points, more than memory can hold\n"),
+        (["simulate", "--params", "{params}", "--span", "1000000000000000", "--out", "{out}"],
+         "error: Unable to allocate"),
     ], ids=["risk-premium", "simulate"])
-    def test_oversized_grid_is_usage_error(self, argv, tmp_path, params_file, capsys):
+    def test_oversized_grid_is_usage_error(self, argv, err, tmp_path, params_file, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(params=params_file, out=out) for a in argv]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert capsys.readouterr().err.startswith(err)
         assert not out.exists()
 
     # 2e303 points are past any array's size; 2000 / 1e-310 is past the float range

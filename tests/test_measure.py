@@ -214,6 +214,22 @@ class TestRiskPremium:
         assert ip.risk_premium(ref_model, ref_theta, t, tau, x_tilde) == \
             pytest.approx(legs_q - legs_p, rel=1e-12)
 
+    @pytest.mark.parametrize("t, tau", [
+        (150.0, np.arange(268.0, 1012.0)),
+        (np.linspace(0.0, 268.0, 97), 268.0),
+        (150.0, 268.0),
+    ], ids=["array-tau", "array-t", "scalar"])
+    def test_equals_the_public_legs_bit_for_bit(self, ref_model, ref_theta, t, tau):
+        x_tilde = 0.5
+        x = ip.to_risk_neutral_state(x_tilde, ref_model.ou, ref_theta, t)
+        legs_q = (ip.supply_leg_expectation(ref_model, 1, t, tau, x)
+                  - ip.supply_leg_expectation(ref_model, 2, t, tau, x))
+        legs_p = (ip.supply_leg_real_world_expectation(ref_model, ref_theta, 1, t, tau, x_tilde)
+                  - ip.supply_leg_real_world_expectation(ref_model, ref_theta, 2, t, tau, x_tilde))
+        premium = ip.risk_premium(ref_model, ref_theta, t, tau, x_tilde)
+        assert np.shape(premium) == np.broadcast_shapes(np.shape(t), np.shape(tau))
+        assert np.array_equal(premium, legs_q - legs_p)
+
     def test_against_monte_carlo_oracle(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=400_000, seed=21)
         checks = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)

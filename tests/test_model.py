@@ -35,6 +35,13 @@ class TestIntrinsicPrice:
         with pytest.raises(NumericError, match="exceeds"):
             ip.intrinsic_price(flat_model, 1e6, tau=10.0)
 
+    def test_overflow_guard_reads_every_element(self, flat_model):
+        # one leg-1 exponent of 0.1949 * (4000 - 43.8799) = 771 in the last row, and a NaN
+        load = np.full((3, 4), 47.0)
+        load[2, 1], load[0, 3] = 4000.0, np.nan
+        with pytest.raises(NumericError, match="supply leg 1: exponent magnitude 771 exceeds"):
+            ip.intrinsic_price(flat_model, load, tau=10.0)
+
 
 class TestSupplyLegExpectation:
     def test_at_settlement_equals_realised_leg(self, flat_model):
@@ -217,6 +224,19 @@ class TestFutures:
         frozen = ip.futures_price(ref_model, 400.0, strip, states)
         later = ip.futures_price(ref_model, 500.0, strip, states)
         assert frozen == later
+
+    # the reference looks each delivery's state up on its own
+    @pytest.mark.parametrize("t", [200.0, 243.5, 250.0, 260.5, 400.0])
+    def test_each_delivery_reads_its_stopped_state(self, ref_model, conv, t):
+        strip = ip.DeliverySet.from_hours(np.arange(268.0, 292.0))
+        states = {u: math.sin(u) for u in ip.required_state_times(t, strip, conv)}
+        taus = np.array(strip.taus)
+        stops = np.minimum(t, taus - conv.delta)
+        x = np.array([states[u] for u in stops.tolist()])
+        total = ip.forward_price(ref_model, stops, taus, x).sum()
+        expected = float(np.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / taus.size
+                         * total)
+        assert ip.futures_price(ref_model, t, strip, states) == expected
 
     def test_missing_state_reported(self, ref_model):
         strip = ip.DeliverySet.from_hours([268.0, 269.0])

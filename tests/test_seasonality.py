@@ -117,6 +117,29 @@ class TestEvaluate:
         via_design = ip.design_matrix(taus, EPOCH, model.calendar) @ model.coefficients()
         assert np.allclose(direct, via_design, rtol=1e-12, atol=1e-12)
 
+    # a year of hours around the dates of make_calendar(), at random minutes
+    @pytest.mark.parametrize("cal", [ip.Calendar(), make_calendar()], ids=["empty", "listed"])
+    def test_design_product_and_scalar_calls_agree(self, rng, cal):
+        model = random_model(rng, cal)
+        taus = 24.0 * (dt.date(2017, 1, 1) - EPOCH).days + np.arange(365 * 24.0)
+        taus += rng.uniform(0.0, 1.0, taus.size)
+        direct = ip.evaluate(model, taus)
+        via_design = ip.design_matrix(taus, EPOCH, cal) @ model.coefficients()
+        assert np.allclose(direct, via_design, rtol=1e-12, atol=0.0)
+        for k in rng.choice(taus.size, 200, replace=False):
+            scalar = ip.evaluate(model, float(taus[k]))
+            assert scalar.shape == () and scalar == direct[k]
+
+    @pytest.mark.parametrize("cal", [ip.Calendar(), make_calendar()], ids=["empty", "listed"])
+    def test_empty_and_negative_times(self, rng, cal):
+        model = random_model(rng, cal)
+        empty = ip.evaluate(model, np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        assert ip.design_matrix(np.array([]), EPOCH, cal).shape == (0, N_COLUMNS)
+        for tau in (-1.0, np.array([5.0, -1e-9])):
+            with pytest.raises(DomainError, match="tau >= 0 only"):
+                ip.evaluate(model, tau)
+
     def test_reference_coefficients_must_be_zero(self):
         dow = np.zeros(4)
         dow[ip.WeekdayClass.TUE_WED_THU] = 1.0

@@ -22,6 +22,9 @@ output directories.  The set:
   and the option integrals of three ``curve_batch`` months (the cases of
   ``perfbench/workloads.py``), so a change to the quadrature shows to the
   last bit;
+- the forward, tradable and premium curves and the futures price of the same
+  three ``curve_batch`` requests, one ``float.hex`` line per value, as
+  ``curves.hex``;
 - the stdout of the six demos, and the CSV that demo 03 writes;
 - ``price forward``, ``price futures`` on a 744 h strip, and ``price option``
   for both families, with and without ``--conventional``;
@@ -107,6 +110,22 @@ with open("integrated_vol.hex", "w") as fh:
         fh.write(f"curve_batch_{k} {vol.hex()}\\n")
 """
 
+CURVES_HEX_SCRIPT = """
+import math, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])                  # perfbench/, for the cases
+from workloads import curve_case, price_curve_request
+from intrinsicprice.data import reference_model
+model, theta = reference_model()
+sd = math.sqrt(model.ou.stationary_variance)
+with open("curves.hex", "w") as fh:
+    for k in (0, 19, 47):
+        result = price_curve_request(model, theta, curve_case(k, sd))
+        for key in ("forward", "tradable", "premium", "futures"):
+            for value in np.atleast_1d(result[key]).tolist():
+                fh.write(f"curve_batch_{k} {key} {value.hex()}\\n")
+"""
+
 TAU = 2160.0                                   # a delivery 90 days past the epoch
 STRIP = [TAU + k for k in range(744)]          # one month of hours
 OPTION = ["price", "option", "--forward", "50", "--strike", "45", "--sigma-ut", "6",
@@ -166,6 +185,8 @@ def main() -> int:
     subprocess.run([sys.executable, "-c", ORACLE_HEX_SCRIPT], cwd=out, env=env, check=True)
     subprocess.run([sys.executable, "-c", MARTINGALE_HEX_SCRIPT], cwd=out, env=env, check=True)
     subprocess.run([sys.executable, "-c", QUADRATURE_HEX_SCRIPT, str(ROOT / "perfbench")],
+                   cwd=out, env=env, check=True)
+    subprocess.run([sys.executable, "-c", CURVES_HEX_SCRIPT, str(ROOT / "perfbench")],
                    cwd=out, env=env, check=True)
     for name, argv in CLI_RUNS:
         run(out, name, ["-m", "intrinsicprice", *argv], env)
