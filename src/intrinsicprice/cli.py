@@ -221,7 +221,7 @@ def _cmd_price(args) -> int:
         model, _ = load_model_file(args.params)
         hours = [_number(h, "--deliveries") for h in args.deliveries.split(",") if h.strip()]
         deliveries = DeliverySet.from_hours(hours)
-        first_fix = deliveries.hours()[0] - model.conv.delta
+        first_fix = float(deliveries.taus[0]) - model.conv.delta
         if args.t > first_fix:
             raise DomainError("price futures supports t at or before the first fixing; "
                               f"got t={args.t} > {first_fix}")

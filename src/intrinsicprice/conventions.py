@@ -48,34 +48,35 @@ class MarketConventions:
         return self.annual_rate / self.hours_per_year
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeliverySet:
-    """Strictly increasing delivery hours backing one futures contract, each
-    the start ``tau`` of a delivery period in hours since epoch."""
+    """Strictly increasing delivery hours backing one futures contract, each the
+    start ``tau`` of a delivery period in hours since epoch, as one read-only copy."""
 
-    taus: tuple[float, ...]
+    taus: np.ndarray
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
+        taus = (self.taus.astype(float) if isinstance(self.taus, np.ndarray)
+                else np.fromiter(self.taus, dtype=float))
+        if taus.ndim != 1:
+            raise DomainError(f"delivery times must be one-dimensional, got shape {taus.shape}")
         if taus.size < 1:
             raise DomainError("a delivery set needs at least one delivery time")
         if not ((taus >= 0.0) & (taus < math.inf)).all():
-            raise DomainError(f"delivery times must be finite and non-negative, got {self.taus}")
+            raise DomainError(
+                f"delivery times must be finite and non-negative, got {tuple(taus.tolist())}")
         if not (taus[1:] > taus[:-1]).all():
-            raise DomainError(f"delivery times must be strictly increasing, got {list(self.taus)}")
+            raise DomainError(f"delivery times must be strictly increasing, got {taus.tolist()}")
+        taus.flags.writeable = False
+        object.__setattr__(self, "taus", taus)
 
     @classmethod
     def from_hours(cls, hours) -> "DeliverySet":
-        """A delivery set from any iterable of hours (a 1-d array is read whole)."""
-        if not (isinstance(hours, np.ndarray) and hours.ndim == 1):
-            hours = np.fromiter(hours, dtype=float)
-        return cls(tuple(hours.astype(float).tolist()))
+        """A delivery set from any iterable of hours (an array is read whole)."""
+        return cls(hours)
 
     def __len__(self) -> int:
-        return len(self.taus)
-
-    def hours(self) -> list[float]:
-        return list(self.taus)
+        return self.taus.size
 
 
 def _hour_rows(hours: float, what: str) -> int:

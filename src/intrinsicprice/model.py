@@ -171,17 +171,18 @@ def price_generating(model: ModelQ, t, tau, x):
     return np.where(live, value, 0.0)
 
 
-def _stopped_times(t: float, taus: np.ndarray, conv: MarketConventions) -> np.ndarray:
+def _stopped_times(t: float, taus: np.ndarray, conv: MarketConventions):
     """Per delivery, the time ``min(t, tau_i - delta)`` after which its forward
-    no longer moves: the day-ahead fixing, or ``t`` if that is earlier."""
-    return np.minimum(t, taus - conv.delta)
+    no longer moves (the day-ahead fixing, or ``t`` if that is earlier), and
+    those times each once, in order, as ``(stops, times)``."""
+    stops = np.minimum(t, taus - conv.delta)
+    return stops, stops[np.diff(stops, prepend=np.nan) != 0]   # stops never decrease
 
 
 def required_state_times(t: float, deliveries: DeliverySet, conv: MarketConventions) -> list[float]:
-    """Sorted unique times ``min(t, tau_i - delta)`` at which the driver state
-    must be known to price the futures contract at time ``t``.  A set, not
-    ``np.unique``, whose first call imports ``numpy.ma``."""
-    return sorted(set(_stopped_times(t, np.fromiter(deliveries.taus, float), conv).tolist()))
+    """The times ``min(t, tau_i - delta)``, each once and in order, at which the
+    driver state must be known to price the futures contract at time ``t``."""
+    return _stopped_times(t, deliveries.taus, conv)[1].tolist()
 
 
 def futures_price(model: ModelQ, t: float, deliveries: DeliverySet,
@@ -194,11 +195,10 @@ def futures_price(model: ModelQ, t: float, deliveries: DeliverySet,
     (see :func:`required_state_times`) to the driver value there.
     """
     conv = model.conv
-    taus = np.fromiter(deliveries.taus, float)
+    taus = deliveries.taus
     if taus[0] < conv.delta:
         raise DomainError(f"delivery at {taus[0]} h fixes before the series epoch")
-    stops = _stopped_times(t, taus, conv)
-    times = stops[np.diff(stops, prepend=np.nan) != 0]   # each once, as stops never decrease
+    stops, times = _stopped_times(t, taus, conv)
     try:
         x = np.array([states[u] for u in times.tolist()], dtype=float)
     except KeyError as exc:

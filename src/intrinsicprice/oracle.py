@@ -239,12 +239,12 @@ def mc_futures(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
     only valid before the first fixing, where the closed form needs a
     single state."""
     conv = model.conv
-    taus = deliveries.hours()
+    taus = deliveries.taus
     if t > taus[0] - conv.delta:
         raise DomainError("mc_futures requires t at or before the first fixing")
-    steps = np.diff([t] + [tau + conv.epsilon for tau in taus])
-    g_vals = [evaluate(model.load_seasonality, tau + conv.epsilon) for tau in taus]
-    weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / len(taus)
+    steps = np.diff(taus + conv.epsilon, prepend=t)
+    g_vals = evaluate(model.load_seasonality, taus + conv.epsilon)
+    weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / taus.size
     return _run_walk_batches(model.ou, x_t, steps, cfg, lambda states: weight * sum(
         intrinsic_price(model, g + x, tau) for g, x, tau in zip(g_vals, states, taus)))
 
@@ -463,16 +463,15 @@ def mc_futures_martingale(model: ModelQ, t_list, deliveries: DeliverySet, cfg: M
     at the backbone state of its fixing.
     """
     conv = model.conv
-    taus = deliveries.hours()
-    fixings = [tau - conv.delta for tau in taus]
-    if fixings[0] < float(t_list[0]):
+    taus = deliveries.taus
+    if taus[0] - conv.delta < float(t_list[0]):
         raise DomainError("first checkpoint must not lie beyond the first fixing")
-    weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / len(taus)
+    weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / taus.size
 
     def quote(u, states):
         # fixings increase, so the frozen terms are summed first
         return sum(weight * forward_price(model, min(u, f), tau, states[min(u, f)])
-                   for f, tau in zip(fixings, taus))
+                   for f, tau in zip((taus - conv.delta).tolist(), taus.tolist()))
 
     return _tower_checks(model, "futures", t_list, x_start, cfg,
                          lambda u: required_state_times(u, deliveries, conv), quote,
@@ -594,6 +593,6 @@ def run_verification_suite(model: ModelQ, theta: float, cfg: McConfig,
     checks.extend(mc_martingale_check(model, [tau - 336.0, tau - 168.0], tau, nested_cfg,
                                       x_start=x_ref, discounted=True))
     checks.extend(mc_futures_martingale(
-        model, [t_fut - 96.0, t_fut, strip.hours()[6] - conv.delta + 0.5], strip,
+        model, [t_fut - 96.0, t_fut, float(strip.taus[6]) - conv.delta + 0.5], strip,
         nested_cfg, x_start=x_ref))
     return checks

@@ -71,12 +71,12 @@ class TestConventionTypes:
                 ip.DeliverySet.from_hours([300.0, bad])
             with pytest.raises(DomainError, match="finite and non-negative"):
                 ip.DeliverySet.from_hours([bad])
-        assert ip.DeliverySet.from_hours([0.0, 300.0]).hours() == [0.0, 300.0]
+        assert ip.DeliverySet.from_hours([0.0, 300.0]).taus.tolist() == [0.0, 300.0]
 
     def test_delivery_set_ordering(self):
         ds = ip.DeliverySet.from_hours([24.0, 25.0, 26.0])
         assert len(ds) == 3
-        assert ds.hours() == [24.0, 25.0, 26.0]
+        assert ds.taus.tolist() == [24.0, 25.0, 26.0]
         with pytest.raises(DomainError):
             ip.DeliverySet.from_hours([24.0, 24.0])
         with pytest.raises(DomainError):
@@ -86,10 +86,10 @@ class TestConventionTypes:
         # a 744 h month from an array, a list and a generator gives one set
         hours = 2160.0 + np.arange(744.0)
         ds = ip.DeliverySet.from_hours(hours)
-        assert ds.taus == tuple(hours.tolist())
-        assert all(type(tau) is float for tau in ds.taus)
-        assert ip.DeliverySet.from_hours(list(hours)) == ds
-        assert ip.DeliverySet.from_hours(h for h in hours) == ds
+        assert np.array_equal(ds.taus, hours)
+        assert ds.taus.dtype == np.float64
+        assert np.array_equal(ip.DeliverySet.from_hours(list(hours)).taus, ds.taus)
+        assert np.array_equal(ip.DeliverySet.from_hours(h for h in hours).taus, ds.taus)
         repeated = np.append(hours[:-1], hours[-2])
         with pytest.raises(DomainError, match="strictly increasing"):
             ip.DeliverySet.from_hours(repeated)
@@ -97,6 +97,28 @@ class TestConventionTypes:
         middle_nan[372] = np.nan
         with pytest.raises(DomainError, match="finite and non-negative"):
             ip.DeliverySet.from_hours(middle_nan)
+
+    def test_strip_is_a_read_only_copy(self):
+        hours = 2160.0 + np.arange(744.0)
+        ds = ip.DeliverySet.from_hours(hours)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.taus[0] = 0.0
+        hours[0] = 5000.0
+        assert ds.taus[0] == 2160.0
+        ints = ip.DeliverySet.from_hours(np.arange(2160, 2904))
+        assert ints.taus.dtype == np.float64 and not ints.taus.flags.writeable
+        assert np.array_equal(ints.taus, ds.taus)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1), ()])
+    def test_array_of_other_shape_is_domain_error(self, shape):
+        with pytest.raises(DomainError, match=re.escape(f"one-dimensional, got shape {shape}")):
+            ip.DeliverySet.from_hours(np.zeros(shape))
+
+    def test_sets_compare_by_identity(self):
+        a = ip.DeliverySet.from_hours(np.array([1.0, 2.0]))
+        b = ip.DeliverySet.from_hours(np.array([1.0, 2.0]))
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 class TestConventionsFile:

@@ -250,6 +250,16 @@ class TestFutures:
         assert ip.required_state_times(100.0, strip, conv) == [100.0]
         assert ip.required_state_times(245.5, strip, conv) == [244.0, 245.0, 245.5]
 
+    # the set-based rule the stopped times used to come from, on a 744 h month:
+    # before the first fixing, between fixings and past the last one
+    @pytest.mark.parametrize("t", [2000.0, 2136.0, 2136.0 + 371.5, 2136.0 + 400.0, 2879.0, 3000.0])
+    def test_required_state_times_are_the_sorted_distinct_stops(self, conv, t):
+        taus = 2160.0 + np.arange(744.0)
+        expected = sorted(set(np.minimum(t, taus - conv.delta).tolist()))
+        times = ip.required_state_times(t, ip.DeliverySet.from_hours(taus), conv)
+        assert times == expected
+        assert all(type(u) is float for u in times)
+
     def test_fixing_before_epoch_rejected(self, ref_model):
         early = ip.DeliverySet.from_hours([10.0])
         with pytest.raises(DomainError, match="before the series epoch"):
