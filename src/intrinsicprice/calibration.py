@@ -158,23 +158,15 @@ def _quote_legs(ou: OuParams, supply: SupplyParams, theta: float, conv: MarketCo
 
 
 class PricingObjective:
-    """Stage-3 objective with all data-dependent quantities precomputed.
-
-    Restricting ``rows`` (absolute series indices) limits the fit to a
-    subset of delivery hours, which the monthly implied-``theta``
-    extraction uses.
-    """
+    """Stage-3 objective with all data-dependent quantities precomputed for
+    the aligned rows: the hours past the first day with both quotes."""
 
     def __init__(self, series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,
-                 gamma3: SeasonalityModel, conv: MarketConventions, rows=None):
+                 gamma3: SeasonalityModel, conv: MarketConventions):
         lag = _hour_rows(conv.delta, "day length")
         n = len(series)
         aligned = np.isfinite(series.intraday) & np.isfinite(series.day_ahead)
         aligned &= np.arange(n) >= lag
-        if rows is not None:
-            mask = np.zeros(n, dtype=bool)
-            mask[np.asarray(rows, dtype=int)] = True
-            aligned &= mask
         self.rows = np.flatnonzero(aligned)
         if self.rows.size == 0:
             raise EstimationError("no aligned intraday/day-ahead observations")
@@ -194,21 +186,27 @@ class PricingObjective:
         self.day_ahead_mkt = series.day_ahead[k]
         self.overflow_evaluations = 0
 
-    def _fit(self, supply: SupplyParams, theta: float):
-        """``(ss, g_q, quotes, errors)``: the sum of squared pricing errors,
-        the :func:`_quote_legs` output and the market-minus-model errors of
-        both quotes.  A leg overflow gives ``ss`` the penalty value and is
-        counted once."""
+    def _errors(self, supply: SupplyParams, theta, block=slice(None)):
+        """``(g_q, quotes, errors)`` on ``block`` of the aligned rows: the
+        :func:`_quote_legs` output and the market-minus-model errors of both
+        quotes.  ``theta`` is one value or one per row of the block.  A leg
+        overflow raises :class:`NumericError`."""
+        g_q, quotes = _quote_legs(self.ou, supply, theta, self.conv, self.tau[block],
+                                  self.g_tilde_tau_e[block], self.gamma3_tau[block],
+                                  self.x_tilde_spot[block], self.x_tilde_fix[block])
+        return g_q, quotes, (self.intraday_mkt[block] - quotes[0][0],
+                             self.day_ahead_mkt[block] - quotes[1][0])
+
+    def _fit(self, supply: SupplyParams, theta, block=slice(None)):
+        """``(ss, g_q, quotes, errors)``: the sum of squared pricing errors and
+        what :meth:`_errors` returns.  A leg overflow gives ``ss`` the penalty
+        value and is counted once."""
         try:
-            g_q, quotes = _quote_legs(self.ou, supply, theta, self.conv, self.tau,
-                                      self.g_tilde_tau_e, self.gamma3_tau,
-                                      self.x_tilde_spot, self.x_tilde_fix)
+            g_q, quotes, errors = self._errors(supply, theta, block)
         except NumericError:
             self.overflow_evaluations += 1
             return _OVERFLOW_PENALTY, None, None, None
-        err_i = self.intraday_mkt - quotes[0][0]
-        err_s = self.day_ahead_mkt - quotes[1][0]
-        return float(err_i @ err_i + err_s @ err_s), g_q, quotes, (err_i, err_s)
+        return _sum_of_squares(errors), g_q, quotes, errors
 
     def __call__(self, supply: SupplyParams, theta: float, gradient: bool = False):
         """The objective; with ``gradient`` the pair ``(value, grad)``, where
@@ -224,12 +222,12 @@ class PricingObjective:
         has no gradient.
         """
         ss, g_q, quotes, errors = self._fit(supply, theta)
-        if ss >= _OVERFLOW_PENALTY:
-            return (_OVERFLOW_PENALTY, np.zeros(5)) if gradient else _OVERFLOW_PENALTY
-        root = np.sqrt(ss)
-        value = root / (2.0 * self.n_obs)
+        value = _value(ss, self.n_obs)
         if not gradient:
             return value
+        if value == _OVERFLOW_PENALTY:
+            return value, np.zeros(5)
+        root = np.sqrt(ss)
         grad = np.zeros(5)
         if root == 0.0:
             return value, grad
@@ -248,6 +246,18 @@ class PricingObjective:
             grad[4] += (a1 * w1 - a2 * w2) @ (ou.lam * ou.sigma * (m * s - tau_e))
         # the model price enters ss = sum(err^2) with a minus sign
         return value, -grad / (2.0 * self.n_obs * root)
+
+
+def _sum_of_squares(errors, block=slice(None)) -> float:
+    """The sum of squared errors of both quotes on ``block``."""
+    err_i, err_s = errors[0][block], errors[1][block]
+    return float(err_i @ err_i + err_s @ err_s)
+
+
+def _value(ss: float, n_obs: int) -> float:
+    """The objective ``sqrt(ss) / (2 n_obs)`` from the sum of squared errors
+    over ``n_obs`` hours, or the overflow penalty once ``ss`` reaches it."""
+    return _OVERFLOW_PENALTY if ss >= _OVERFLOW_PENALTY else np.sqrt(ss) / (2.0 * n_obs)
 
 
 def numerical_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -373,33 +383,117 @@ def calibrate(series: MarketSeries, cal: Calendar, conv: MarketConventions,
                                   initial_supply_guess(series, gamma3, conv))
 
 
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+_SQRT_EPS = np.sqrt(2.2e-16)
+_BRENT_MAXFUN = 500
+
+
+def _bounded_brent(f, n: int, lower: float, upper: float, xatol: float) -> np.ndarray:
+    """Minimise ``n`` functions of one variable on ``[lower, upper]`` at once.
+
+    Each lane takes the steps of scipy's bounded Brent search
+    (``minimize_scalar(method="bounded")``, Brent 1973, ch. 5): the first
+    point at the golden section, then parabolic or golden-section steps,
+    with the same acceptance rules, tie-breaks and stopping test, so each
+    lane ends where a scalar search of its function would.  ``f`` maps one
+    point per lane to one value per lane; a lane that has stopped is held
+    at its best point, and all stop after 500 evaluations.  Returns the
+    best point of each lane.
+    """
+    a = np.full(n, float(lower))
+    b = np.full(n, float(upper))
+    xf = a + _GOLDEN * (b - a)
+    fulc = nfc = xf
+    rat = e = np.zeros(n)
+    fx = ffulc = fnfc = np.asarray(f(xf), dtype=float)
+    num = 1
+    xm, tol1 = 0.5 * (a + b), _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    active = np.abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a)
+    while active.any():
+        tol2 = 2.0 * tol1
+        # the parabola through the three best points, where it is acceptable
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                         & (p > q * (a - xf)) & (p < q * (b - xf)))
+            step = (p + 0.0) / q
+            near_bound = ((xf + step - a) < tol2) | ((b - (xf + step)) < tol2)
+        step = np.where(near_bound, tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
+        # otherwise a golden-section step into the larger part of the bracket
+        golden = np.where(xf >= xm, a - xf, b - xf)
+        e_new = np.where(parabolic, rat, golden)
+        rat_new = np.where(parabolic, step, _GOLDEN * golden)
+        x = xf + (np.sign(rat_new) + (rat_new == 0)) * np.maximum(np.abs(rat_new), tol1)
+        x = np.where(active, x, xf)
+        fu = np.asarray(f(x), dtype=float)
+        num += 1
+
+        better = active & (fu <= fx)
+        worse = active & ~(fu <= fx)
+        second = worse & ((fu <= fnfc) | (nfc == xf))
+        third = worse & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        a = np.where(better & (x >= xf), xf, np.where(worse & (x < xf), x, a))
+        b = np.where(better & ~(x >= xf), xf, np.where(worse & ~(x < xf), x, b))
+        fulc, ffulc = (np.where(better | second, nfc, np.where(third, x, fulc)),
+                       np.where(better | second, fnfc, np.where(third, fu, ffulc)))
+        nfc, fnfc = (np.where(better, xf, np.where(second, x, nfc)),
+                     np.where(better, fx, np.where(second, fu, fnfc)))
+        xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+        e, rat = np.where(active, e_new, e), np.where(active, rat_new, rat)
+        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        if num >= _BRENT_MAXFUN:
+            break
+        active &= np.abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a)
+    return xf
+
+
 def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,
                           gamma3: SeasonalityModel, supply: SupplyParams,
                           conv: MarketConventions) -> list[tuple[_dt.date, float]]:
     """Per calendar month, the ``theta`` minimising the pricing objective
-    with everything else frozen (bounded search on [-1, 1], tol 1e-6).
+    on that month's hours with everything else frozen (bounded search on
+    [-1, 1], tol 1e-6).
 
     Months with fewer than 48 aligned delivery hours are
     skipped with a warning.  Returns (first-of-month, theta) pairs in
-    chronological order.
+    chronological order.  All months are searched together: each round
+    prices every aligned hour once, with its month's trial ``theta``.
     """
-    from scipy.optimize import minimize_scalar
-
-    month_of_row = _month_keys(series.taus, series.epoch)
-    out: list[tuple[_dt.date, float]] = []
-    for key in np.unique(month_of_row):
-        rows = np.flatnonzero(month_of_row == key)
-        try:
-            objective = PricingObjective(series, g_tilde, ou, gamma3, conv, rows=rows)
-        except EstimationError:
+    month = _month_keys(series.taus, series.epoch)
+    # taus increase, so each month's hours are one block
+    months = month[np.flatnonzero(np.diff(month, prepend=month[0] - 1))]
+    try:
+        objective = PricingObjective(series, g_tilde, ou, gamma3, conv)
+        month_of_row = month[objective.rows]
+    except EstimationError:
+        objective, month_of_row = None, month[:0]
+    edges = np.searchsorted(month_of_row, months)
+    counts = np.diff(edges, append=month_of_row.size)
+    for key, count in zip(months, counts):
+        if count == 0:
             warnings.warn(f"month {key}: no aligned observations; skipped")
-            continue
-        if objective.n_obs < _MONTH_MIN_OBS:
-            warnings.warn(f"month {key}: only {objective.n_obs} aligned hours; skipped")
-            continue
-        res = minimize_scalar(
-            lambda th: objective(supply, th), bounds=(-1.0, 1.0), method="bounded",
-            options={"xatol": 1e-6})
-        year, month = (int(p) for p in key.split("-"))
-        out.append((_dt.date(year, month, 1), float(res.x)))
-    return out
+        elif count < _MONTH_MIN_OBS:
+            warnings.warn(f"month {key}: only {count} aligned hours; skipped")
+    kept = np.flatnonzero(counts >= _MONTH_MIN_OBS)
+    if kept.size == 0:
+        return []
+    blocks = [slice(edges[k], edges[k] + counts[k]) for k in kept]
+    n_obs = counts[kept]
+    theta_of_month = np.zeros(months.size)
+
+    def values(theta):
+        theta_of_month[kept] = theta
+        try:
+            errors = objective._errors(supply, np.repeat(theta_of_month, counts))[2]
+            sums = [_sum_of_squares(errors, block) for block in blocks]
+        except NumericError:   # a leg overflowed in some month: price month by month
+            sums = [objective._fit(supply, th, block)[0] for th, block in zip(theta, blocks)]
+        return [_value(ss, n) for ss, n in zip(sums, n_obs)]
+
+    theta = _bounded_brent(values, kept.size, -1.0, 1.0, xatol=1e-6)
+    return [(key.item(), float(th)) for key, th in zip(months[kept], theta)]

@@ -56,8 +56,12 @@ class DeliverySet:
     taus: np.ndarray
 
     def __post_init__(self):
-        taus = (self.taus.astype(float) if isinstance(self.taus, np.ndarray)
-                else np.fromiter(self.taus, dtype=float))
+        try:
+            taus = (self.taus.astype(float) if isinstance(self.taus, np.ndarray)
+                    else np.fromiter(self.taus, dtype=float))
+        except (TypeError, ValueError):   # not iterable, or items that are not numbers
+            raise DomainError("delivery times must be a flat sequence of numbers, "
+                              f"got {self.taus!r}") from None
         if taus.ndim != 1:
             raise DomainError(f"delivery times must be one-dimensional, got shape {taus.shape}")
         if taus.size < 1:

@@ -245,7 +245,7 @@ def generate_synthetic(model: ModelQ, theta: float, span_hours: int, noise_sd,
     theta_row = theta
     if monthly_theta:
         months, month_of_row = np.unique(_month_keys(taus, epoch), return_inverse=True)
-        theta_row = np.array([monthly_theta.get(k, theta) for k in months])[month_of_row]
+        theta_row = np.array([monthly_theta.get(str(k), theta) for k in months])[month_of_row]
 
     _, quotes = _quote_legs(model.ou, model.supply, theta_row, conv, taus, g_tilde_tau_e,
                             gamma3_tau, deviation, x_fix)

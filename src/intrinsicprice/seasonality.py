@@ -70,9 +70,10 @@ def _day_and_hour(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _month_keys(taus: np.ndarray, epoch: _dt.date) -> np.ndarray:
-    """The "YYYY-MM" delivery month of each hour offset from midnight of ``epoch``."""
+    """The delivery month (``datetime64[M]``, printed "YYYY-MM") of each hour
+    offset from midnight of ``epoch``."""
     hours = np.datetime64(epoch, "h") + np.floor(taus).astype("timedelta64[h]")
-    return hours.astype("datetime64[M]").astype(str)
+    return hours.astype("datetime64[M]")
 
 
 # class of each weekday (Monday = 0) before the calendar overrides it

@@ -1,12 +1,13 @@
 import dataclasses
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, EstimationError
-from intrinsicprice.calibration import PricingObjective
+from intrinsicprice.calibration import PricingObjective, _bounded_brent
 
 
 @pytest.fixture(scope="module")
@@ -91,18 +92,26 @@ class TestPricingObjective:
         assert objective.overflow_evaluations == 1
 
     def test_invariant_under_observation_order(self, ref_model, ref_theta, synthetic):
-        # the objective is a sum over hours; masking to a shuffled subset of
-        # rows must give the same value as the sorted subset
+        # the objective is a sum over the aligned hours alone: blanking the
+        # quotes before hour 500 gives the value of the series cut to start a
+        # day earlier, whose first day of quotes is never aligned
         series, g_tilde = synthetic
-        rows = np.arange(24, len(series))
-        shuffled = rows.copy()
-        np.random.default_rng(0).shuffle(shuffled)
-        a = PricingObjective(series, g_tilde, ref_model.ou, ref_model.price_seasonality,
-                             ref_model.conv, rows=rows)
-        b = PricingObjective(series, g_tilde, ref_model.ou, ref_model.price_seasonality,
-                             ref_model.conv, rows=shuffled)
-        sup = ref_model.supply
-        assert a(sup, ref_theta) == b(sup, ref_theta)
+        start, lag = 500, 24
+        blank = np.arange(len(series)) < start
+        blanked = ip.MarketSeries(epoch=series.epoch, taus=series.taus, load=series.load,
+                                  day_ahead=np.where(blank, np.nan, series.day_ahead),
+                                  intraday=np.where(blank, np.nan, series.intraday))
+        cut = ip.MarketSeries(epoch=series.epoch, taus=series.taus[start - lag:],
+                              load=series.load[start - lag:],
+                              day_ahead=series.day_ahead[start - lag:],
+                              intraday=series.intraday[start - lag:])
+        a = PricingObjective(blanked, g_tilde, ref_model.ou, ref_model.price_seasonality,
+                             ref_model.conv)
+        b = PricingObjective(cut, g_tilde, ref_model.ou, ref_model.price_seasonality,
+                             ref_model.conv)
+        assert a.n_obs == b.n_obs == len(series) - start
+        for theta in (ref_theta, 0.01):
+            assert a(ref_model.supply, theta) == b(ref_model.supply, theta)
 
     def test_needs_aligned_observations(self, ref_model, synthetic):
         series, g_tilde = synthetic
@@ -134,12 +143,17 @@ class TestAnalyticGradient:
                             rng.uniform(42.0, 46.0), rng.uniform(35.0, 40.0),
                             rng.choice([-1.0, 1.0]) * rng.uniform(0.001, 0.01)])
 
-    @pytest.mark.parametrize("rows", [None, np.arange(300, 1100)], ids=["all", "rows"])
-    def test_matches_fine_central_differences(self, ref_model, ref_theta, rows):
+    @pytest.mark.parametrize("window", [None, (300, 1100)], ids=["all", "rows"])
+    def test_matches_fine_central_differences(self, ref_model, ref_theta, window):
         series = ip.generate_synthetic(ref_model, ref_theta, 24 * 60, 0.3, seed=21)
+        if window is not None:   # quotes only on the hours of the window
+            outside = (np.arange(len(series)) < window[0]) | (np.arange(len(series)) >= window[1])
+            series = ip.MarketSeries(epoch=series.epoch, taus=series.taus, load=series.load,
+                                     day_ahead=np.where(outside, np.nan, series.day_ahead),
+                                     intraday=np.where(outside, np.nan, series.intraday))
         g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
         objective = PricingObjective(series, g_tilde, ref_model.ou,
-                                     ref_model.price_seasonality, ref_model.conv, rows=rows)
+                                     ref_model.price_seasonality, ref_model.conv)
 
         def f(u):
             return objective(ip.SupplyParams(np.exp(u[0]), -np.exp(u[1]), u[2], u[3]), u[4])
@@ -426,3 +440,145 @@ class TestFullPipelineAndMonthlyTheta:
                                            ref_model.price_seasonality, ref_model.supply,
                                            ref_model.conv)
         assert len(out) == 1
+
+
+def monthly_search_one_by_one(series, g_tilde, ou, gamma3, supply, conv):
+    """The implied-theta search as one scalar bounded Brent search per month,
+    each on an objective built from that month's hours alone (with the day
+    of load before them): the reference the lockstep search must equal.
+    Also returns, per searched month, its overflow count and its objective at
+    the search's first point."""
+    from scipy.optimize import minimize_scalar
+
+    hours = np.datetime64(series.epoch, "h") + series.taus.astype("timedelta64[h]")
+    month_of_row = hours.astype("datetime64[M]").astype(str)
+    lag = int(conv.delta)
+    out, overflows = [], {}
+    for key in np.unique(month_of_row):
+        rows = np.flatnonzero(month_of_row == key)
+        part = slice(max(rows[0] - lag, 0), rows[-1] + 1)
+        month = ip.MarketSeries(epoch=series.epoch, taus=series.taus[part],
+                                load=series.load[part], day_ahead=series.day_ahead[part],
+                                intraday=series.intraday[part])
+        try:
+            objective = PricingObjective(month, g_tilde, ou, gamma3, conv)
+        except EstimationError:
+            warnings.warn(f"month {key}: no aligned observations; skipped")
+            continue
+        if objective.n_obs < 48:
+            warnings.warn(f"month {key}: only {objective.n_obs} aligned hours; skipped")
+            continue
+        res = minimize_scalar(lambda th: objective(supply, th), bounds=(-1.0, 1.0),
+                              method="bounded", options={"xatol": 1e-6})
+        year, number = (int(p) for p in key.split("-"))
+        out.append((dt.date(year, number, 1), float(res.x)))
+        overflows[key] = (objective.overflow_evaluations, objective(supply, -0.2360679774997898))
+    return out, overflows
+
+
+def recorded(fn, *args):
+    """``fn(*args)`` and the texts of the user warnings it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught if w.category is UserWarning]
+
+
+def lane_functions():
+    """Functions of one variable on [-1, 1] with minima inside, at and past
+    the bounds, kinks, flat plateaus, ties and several local minima."""
+    fns = []
+    near_bounds = [s * (1.0 - d) for s in (-1.0, 1.0) for d in (1e-7, 4e-7, 1e-5)]
+    for c in [*np.linspace(-1.6, 1.6, 17), *near_bounds]:
+        fns += [lambda x, c=c: (x - c) ** 2, lambda x, c=c: abs(x - c),
+                lambda x, c=c: min((x - c) ** 2, 0.25),
+                lambda x, c=c: np.floor(8.0 * (x - c)) ** 2,
+                lambda x, c=c: np.cos(9.0 * (x - c)) + 0.1 * x,
+                lambda x, c=c: (x - c) ** 4 - x * x,
+                lambda x, c=c: 1e12 if x < c else (x - c - 0.3) ** 2,
+                lambda x, c=c: np.exp(4.0 * (x - c)) - 4.0 * (x - c),
+                lambda x, c=c: (x - c) ** 2 * (2.0 + np.sin(7.0 * x))]
+    fns += [lambda x: 1.0, lambda x: 0.0, lambda x: float(x > 0.0), lambda x: -x, lambda x: x]
+    return fns
+
+
+class TestImpliedThetaLockstep:
+    SPIKE_ROW = 3132     # 2015-05-11 12:00
+
+    def test_each_lane_takes_the_scalar_search_steps(self):
+        from scipy.optimize import minimize_scalar
+
+        fns = lane_functions()
+        expected = [minimize_scalar(f, bounds=(-1.0, 1.0), method="bounded",
+                                    options={"xatol": 1e-6}).x for f in fns]
+        got = _bounded_brent(lambda x: [f(v) for f, v in zip(fns, x)], len(fns), -1.0, 1.0,
+                             xatol=1e-6)
+        assert got.tolist() == expected
+
+    @pytest.fixture(scope="class")
+    def half_year(self, ref_model, ref_theta):
+        """January to June: no quotes in February, 30 aligned hours in April,
+        and in May one load of -7450 with no quotes of its own, so that only
+        the next day's day-ahead leg reads it: its exponent passes the
+        overflow bound for theta >= 0.5 under the reference supply.  The
+        quotes of January, March and June are priced at theta -1.5, -0.1
+        and 0.2, so that searches end at a bound, start uphill and go
+        downhill."""
+        monthly = {"2015-01": -1.5, "2015-03": -0.1, "2015-06": 0.2}
+        series = ip.generate_synthetic(ref_model, ref_theta, 24 * 181, 0.5, seed=1,
+                                       monthly_theta=monthly)
+        day_ahead, intraday, load = (series.day_ahead.copy(), series.intraday.copy(),
+                                     series.load.copy())
+        feb = (series.taus >= 31 * 24) & (series.taus < 59 * 24)
+        apr = np.flatnonzero((series.taus >= 90 * 24) & (series.taus < 120 * 24))
+        intraday[feb] = np.nan
+        day_ahead[apr[30:]] = np.nan
+        load[self.SPIKE_ROW] = -7450.0
+        intraday[self.SPIKE_ROW] = np.nan
+        series = ip.MarketSeries(epoch=series.epoch, taus=series.taus, load=load,
+                                 day_ahead=day_ahead, intraday=intraday)
+        g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
+        return series, g_tilde
+
+    @pytest.mark.parametrize("alpha", [None, 0.5], ids=["reference-supply", "alpha-0.5"])
+    def test_equals_one_search_per_month(self, ref_model, half_year, alpha, monkeypatch):
+        series, g_tilde = half_year
+        supply = ref_model.supply
+        if alpha is not None:
+            supply = dataclasses.replace(supply, alpha1=alpha, alpha2=-alpha)
+        args = (series, g_tilde, ref_model.ou, ref_model.price_seasonality, supply,
+                ref_model.conv)
+        (expected, overflows), expected_warnings = recorded(monthly_search_one_by_one, *args)
+        # the cases this test is about: a first point on the penalty plateau,
+        # a month that overflows at some trial theta, interior minima, skips
+        assert [first for _, first in overflows.values()].count(1e12) >= 1
+        assert overflows["2015-05"][0] >= 1
+        assert any(abs(theta) < 0.5 for _, theta in expected)
+        assert expected_warnings == ["month 2015-02: no aligned observations; skipped",
+                                     "month 2015-04: only 30 aligned hours; skipped"]
+
+        month_by_month = []
+        original = PricingObjective._fit
+
+        def spy(self, supply, theta, block=slice(None)):
+            month_by_month.append(block)
+            return original(self, supply, theta, block)
+
+        monkeypatch.setattr(PricingObjective, "_fit", spy)
+        got, got_warnings = recorded(ip.implied_theta_monthly, *args)
+        assert got == expected
+        assert got_warnings == expected_warnings
+        assert month_by_month   # a round overflowed and was priced month by month
+
+    def test_no_aligned_rows_at_all(self, ref_model, half_year):
+        series, g_tilde = half_year
+        blank = ip.MarketSeries(epoch=series.epoch, taus=series.taus, load=series.load,
+                                day_ahead=series.day_ahead,
+                                intraday=np.full(len(series), np.nan))
+        args = (blank, g_tilde, ref_model.ou, ref_model.price_seasonality, ref_model.supply,
+                ref_model.conv)
+        (expected, _), expected_warnings = recorded(monthly_search_one_by_one, *args)
+        got, got_warnings = recorded(ip.implied_theta_monthly, *args)
+        assert got == expected == []
+        assert got_warnings == expected_warnings
+        assert len(got_warnings) == 6

@@ -228,6 +228,14 @@ class TestImpliedTheta:
         assert first[0] == "2015-01"
         assert abs(float(first[1]) + 0.0036) < 0.01
 
+    def test_leaves_scipy_optimize_unloaded(self, tmp_path, params_file, data_file):
+        out = tmp_path / "theta.csv"
+        codes, scipy_modules = run_fresh([["implied-theta", "--params", str(params_file),
+                                           "--data", str(data_file), "--out", str(out)]])
+        assert codes == [0]
+        assert not [m for m in scipy_modules if m.startswith("scipy.optimize")]
+        assert out.read_text().count("\n") == 14   # the header and 13 months
+
 
 class TestVerify:
     def test_clean_run_exits_zero(self, capsys):
@@ -416,7 +424,6 @@ class TestBadInputFiles:
 
 
 def test_quote_commands_leave_scipy_unloaded(tmp_path, params_file):
-    # a fresh interpreter, so modules other tests imported do not count
     params, out = str(params_file), str(tmp_path / "premium.csv")
     commands = [
         ["price", "forward", "--params", params, "--t", "100", "--tau", "268", "--x", "1.0"],
@@ -429,6 +436,15 @@ def test_quote_commands_leave_scipy_unloaded(tmp_path, params_file):
         ["risk-premium", "--params", params, "--tau", "2160", "--t-start", "1000",
          "--t-end", "2160", "--t-step", "100", "--out", out],
     ]
+    codes, scipy_modules = run_fresh(commands)
+    assert codes == [0] * len(commands)
+    assert scipy_modules == []
+
+
+def run_fresh(commands):
+    """Run CLI ``commands`` in one fresh interpreter, so that modules other
+    tests imported do not count; returns their exit codes and the scipy
+    modules loaded after them."""
     probe = ("import json, sys\n"
              "from intrinsicprice import cli\n"
              "codes = [cli.main(c) for c in json.loads(sys.argv[1])]\n"
@@ -436,6 +452,4 @@ def test_quote_commands_leave_scipy_unloaded(tmp_path, params_file):
     package_root = os.path.dirname(os.path.dirname(ip.__file__))
     run = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": package_root})
-    codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
-    assert codes == [0] * len(commands)
-    assert scipy_modules == []
+    return json.loads(run.stdout.splitlines()[-1])

@@ -114,6 +114,13 @@ class TestConventionTypes:
         with pytest.raises(DomainError, match=re.escape(f"one-dimensional, got shape {shape}")):
             ip.DeliverySet.from_hours(np.zeros(shape))
 
+    @pytest.mark.parametrize("hours", [[[1.0, 2.0], [3.0, 4.0]], ["a"], 5.0, np.array(["a"])],
+                             ids=["nested-list", "string-item", "number", "string-array"])
+    def test_input_that_is_not_flat_numbers_is_domain_error(self, hours):
+        message = f"delivery times must be a flat sequence of numbers, got {hours!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ip.DeliverySet.from_hours(hours)
+
     def test_sets_compare_by_identity(self):
         a = ip.DeliverySet.from_hours(np.array([1.0, 2.0]))
         b = ip.DeliverySet.from_hours(np.array([1.0, 2.0]))

@@ -33,6 +33,9 @@ output directories.  The set:
   stdout and ``--params-out`` JSON), ``implied-theta``, ``fit-seasonality``,
   ``fit-ou``, and ``calibrate --gamma3`` with the reference price seasonality
   written as a seasonality report, in the format ``fit-seasonality`` writes;
+- ``simulate --span 26280 --seed 1`` and, on its CSV, ``calibrate`` and
+  ``implied-theta``: 20 of that run's 36 months start their search on the
+  overflow-penalty plateau of the objective, so the plateau path shows here;
 - ``calibrate`` on two inputs holding a number that is not finite: a
   conventions file with ``delta_hours inf`` and that seasonality report with
   ``level nan``.
@@ -159,6 +162,13 @@ CLI_RUNS = [
     ("calibrate_gamma3", ["calibrate", "--data", "series.csv", "--gamma3", "gamma3.txt",
                           "--out", "calibration_gamma3_report.txt",
                           "--params-out", "fitted_gamma3_params.json"]),
+    ("simulate_seed1", ["simulate", "--params", "params.json", "--span", "26280", "--seed", "1",
+                        "--out", "series_seed1.csv"]),
+    ("calibrate_seed1", ["calibrate", "--data", "series_seed1.csv",
+                         "--out", "calibration_seed1_report.txt",
+                         "--params-out", "fitted_seed1_params.json"]),
+    ("implied_theta_seed1", ["implied-theta", "--params", "fitted_seed1_params.json",
+                             "--data", "series_seed1.csv", "--out", "implied_theta_seed1.csv"]),
     ("calibrate_conventions_inf", ["calibrate", "--data", "series.csv",
                                    "--conventions", "conventions_inf.txt",
                                    "--out", "calibration_conventions_inf_report.txt"]),
