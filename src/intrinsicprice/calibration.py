@@ -199,14 +199,18 @@ class PricingObjective:
 
     def _fit(self, supply: SupplyParams, theta, block=slice(None)):
         """``(ss, g_q, quotes, errors)``: the sum of squared pricing errors and
-        what :meth:`_errors` returns.  A leg overflow gives ``ss`` the penalty
-        value and is counted once."""
+        what :meth:`_errors` returns.  A leg overflow, or a sum of squares
+        past the float range, gives ``ss`` the penalty value and is counted
+        once."""
         try:
             g_q, quotes, errors = self._errors(supply, theta, block)
+            ss = _sum_of_squares(errors)
         except NumericError:
+            ss = np.inf
+        if not np.isfinite(ss):
             self.overflow_evaluations += 1
             return _OVERFLOW_PENALTY, None, None, None
-        return _sum_of_squares(errors), g_q, quotes, errors
+        return ss, g_q, quotes, errors
 
     def __call__(self, supply: SupplyParams, theta: float, gradient: bool = False):
         """The objective; with ``gradient`` the pair ``(value, grad)``, where
@@ -249,9 +253,11 @@ class PricingObjective:
 
 
 def _sum_of_squares(errors, block=slice(None)) -> float:
-    """The sum of squared errors of both quotes on ``block``."""
+    """The sum of squared errors of both quotes on ``block``; ``inf`` when it
+    passes the float range."""
     err_i, err_s = errors[0][block], errors[1][block]
-    return float(err_i @ err_i + err_s @ err_s)
+    with np.errstate(over="ignore"):
+        return float(err_i @ err_i + err_s @ err_s)
 
 
 def _value(ss: float, n_obs: int) -> float:

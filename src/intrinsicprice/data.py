@@ -5,10 +5,8 @@ The file format is one header row and comma-separated columns
 no gaps or duplicates, decimal points, and empty fields for missing
 prices.  Missing load and price text that is not finite are errors;
 missing prices merely shrink the calibration window.  The row loop
-:func:`_check_rows` is the specification of a data row:
-:func:`load_series` parses blocks of rows column by column and hands
-every block that does not parse cleanly to that loop, so an error names
-the first bad row with the loop's message.
+:func:`_check_rows` is the specification of a data row: one pass over the
+rows checks and parses each of them, so an error names the first bad row.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import io
-import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,93 +28,78 @@ from .ou import OuParams, _sample_path
 from .seasonality import Calendar, SeasonalityModel, _month_keys, evaluate
 
 
-# rows parsed or formatted at a time: whole columns are fast, a whole file of
-# parsed rows in memory at once is not
+# rows formatted at a time when writing: whole columns are fast, a whole file
+# of formatted rows in memory at once is not
 _BLOCK_ROWS = 4096
 _COLUMNS = ("timestamp", "load", "day_ahead", "intraday")
 _ONE_HOUR = _dt.timedelta(hours=1)
 _NAN = float("nan")
 
 
-def _check_rows(rows, cols, header, prev, path):
+def _check_rows(numbered, cols, header, path):
     """The CSV rules, one row at a time: the specification of a data row.
 
-    ``rows`` holds ``(lineno, fields)`` pairs, ``cols`` the field index of
-    each of :data:`_COLUMNS` and ``prev`` the timestamp of the row before
-    them, or ``None``.  Raises the error of the first row that breaks a
-    rule; a row is checked for its width, its timestamp, the step from the
-    row before, then load, day-ahead and intraday in turn.  Returns what
-    :func:`_parse_columns` returns for rows that keep every rule.
+    ``numbered`` yields ``(lineno, fields)`` pairs and ``cols`` holds the
+    field index of each of :data:`_COLUMNS`.  Blank rows are skipped.
+    Raises the error of the first row that breaks a rule; a row is checked
+    for its width, its timestamp, the step from the row before, then load,
+    day-ahead and intraday in turn.  Returns the first timestamp (``None``
+    without data rows) and the load, day-ahead and intraday arrays.
     """
-    stamps, columns = [], ([], [], [])
-    for lineno, row in rows:
-        where = f"{path}:{lineno}"
-        if len(row) <= max(cols):
-            raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+    fromisoformat, isfinite = _dt.datetime.fromisoformat, math.isfinite
+    last_col = max(cols)
+    first = prev = None
+    columns = ([], [], [])
+    numeric = list(zip(_COLUMNS[1:], cols[1:], columns))
+    for lineno, row in numbered:
+        if not "".join(row).strip():
+            continue
+        if len(row) <= last_col:
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         text = row[cols[0]]
         try:
-            ts = _dt.datetime.fromisoformat(text.strip())
+            ts = fromisoformat(text.strip())
         except ValueError:
-            raise ParseError(f"{where}: bad timestamp {text!r}") from None
+            raise ParseError(f"{path}:{lineno}: bad timestamp {text!r}") from None
         if ts.minute or ts.second or ts.microsecond:
-            raise ParseError(f"{where}: timestamps must be on the hour")
-        if prev is not None:
+            raise ParseError(f"{path}:{lineno}: timestamps must be on the hour")
+        if prev is None:
+            first = ts
+        else:
             try:
-                gap = (ts - prev).total_seconds() / 3600.0
+                step = ts - prev
             except TypeError:
-                raise ParseError(f"{where}: timestamps with and without a UTC offset "
+                raise ParseError(f"{path}:{lineno}: timestamps with and without a UTC offset "
                                  "are mixed") from None
-            if gap == 0:
-                raise ParseError(f"{where}: duplicated timestamp {ts.isoformat()}")
-            if gap < 0:
-                raise ParseError(f"{where}: timestamps not increasing")
-            if gap != 1:
-                raise ParseError(f"{where}: {gap:g} hour jump in the load series "
+            if step != _ONE_HOUR:
+                gap = step.total_seconds() / 3600.0
+                if gap == 0:
+                    raise ParseError(f"{path}:{lineno}: duplicated timestamp {ts.isoformat()}")
+                if gap < 0:
+                    raise ParseError(f"{path}:{lineno}: timestamps not increasing")
+                raise ParseError(f"{path}:{lineno}: {gap:g} hour jump in the load series "
                                  "(gaps in load are not allowed)")
-        stamps.append(prev := ts)
-        for name, col, values in zip(_COLUMNS[1:], cols[1:], columns):
+        prev = ts
+        for name, col, values in numeric:
             text = row[col].strip()
             try:
-                values.append(float(text) if text else _NAN)
+                value = float(text) if text else _NAN
             except ValueError:
-                raise ParseError(f"{where}: column {name!r}: {row[col]!r} is not a number") \
-                    from None
-            if name == "load" and not np.isfinite(values[-1]):
-                raise ParseError(f"{where}: missing load value")
-            if text and not np.isfinite(values[-1]):
-                raise ParseError(f"{where}: column {name!r}: {row[col]!r} is not a finite number")
-    return stamps, *map(np.array, columns)
-
-
-def _parse_columns(rows, cols, prev):
-    """The block's timestamps and load, day-ahead and intraday arrays, parsed
-    column by column, or ``None`` when some row breaks a rule of
-    :func:`_check_rows`."""
-    try:
-        stamps = [_dt.datetime.fromisoformat(row[cols[0]].strip()) for _, row in rows]
-        columns = [np.array([float(t) if (t := row[col].strip()) else _NAN for _, row in rows])
-                   for col in cols[1:]]
-        chain = stamps if prev is None else [prev, *stamps]
-        hourly = all(b - a == _ONE_HOUR for a, b in zip(chain, chain[1:]))
-    except (IndexError, TypeError, ValueError):
-        return None
-    if (not hourly or any(ts.minute or ts.second or ts.microsecond for ts in stamps)
-            or not np.isfinite(columns[0]).all()):
-        return None
-    for col, values in zip(cols[2:], columns[1:]):
-        # a missing quote is an empty field; price text that is not finite breaks a rule
-        if any(rows[k][1][col].strip() for k in np.flatnonzero(~np.isfinite(values)).tolist()):
-            return None
-    return stamps, *columns
+                raise ParseError(f"{path}:{lineno}: column {name!r}: {row[col]!r} is not a "
+                                 "number") from None
+            if not isfinite(value):
+                if name == "load":
+                    raise ParseError(f"{path}:{lineno}: missing load value")
+                if text:
+                    raise ParseError(f"{path}:{lineno}: column {name!r}: {row[col]!r} is not "
+                                     "a finite number")
+            values.append(value)
+    return first, *map(np.array, columns)
 
 
 def load_series(path) -> MarketSeries:
-    """Parse and validate a market data file into a :class:`MarketSeries`.
-
-    Each block of rows is parsed column by column; a block that does not
-    parse cleanly goes through :func:`_check_rows`, which names the first
-    bad row.
-    """
+    """Parse and validate a market data file into a :class:`MarketSeries`:
+    one pass of :func:`_check_rows` over its rows."""
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         header = next(reader, None)
@@ -128,28 +111,14 @@ def load_series(path) -> MarketSeries:
             raise ParseError(f"{path}:1: header must contain column "
                              f"{', '.join(map(repr, missing))}")
         cols = [header.index(name) for name in _COLUMNS]
-
         numbered = ((reader.line_num, row) for row in reader)   # the line a row ends on
-        first = last = None
-        blocks = []
-        while block := list(itertools.islice(numbered, _BLOCK_ROWS)):
-            rows = [(n, row) for n, row in block if "".join(row).strip()]
-            if not rows:
-                continue
-            stamps, *columns = (_parse_columns(rows, cols, last)
-                                or _check_rows(rows, cols, header, last, path))
-            if first is None:
-                first = stamps[0]
-            last = stamps[-1]
-            blocks.append(columns)
+        first, load, day_ahead, intraday = _check_rows(numbered, cols, header, path)
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
-    n_rows = sum(len(load) for load, _, _ in blocks)
-    if n_rows < 2:
+    if load.size < 2:
         raise ParseError(f"{path}: need at least two data rows")
-    load, day_ahead, intraday = (np.concatenate(c) for c in zip(*blocks))
-    return MarketSeries(epoch=first.date(), taus=first.hour + np.arange(n_rows, dtype=float),
+    return MarketSeries(epoch=first.date(), taus=first.hour + np.arange(load.size, dtype=float),
                         load=load, day_ahead=day_ahead, intraday=intraday)
 
 

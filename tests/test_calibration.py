@@ -91,6 +91,22 @@ class TestPricingObjective:
         assert objective(absurd, 0.0) == 1e12
         assert objective.overflow_evaluations == 1
 
+    def test_overflowing_sum_of_squares_is_a_counted_overflow(self, ref_model, ref_theta):
+        # every error is finite, but the sum of their squares passes the float range
+        series = ip.generate_synthetic(ref_model, ref_theta, 8760, 0.5, seed=3)
+        g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
+        objective = PricingObjective(series, g_tilde, ref_model.ou,
+                                     ref_model.price_seasonality, ref_model.conv)
+        steep = dataclasses.replace(ref_model.supply, alpha1=5.0, alpha2=-5.0)
+        assert all(np.isfinite(err).all() for err in objective._errors(steep, ref_theta)[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert objective(steep, ref_theta) == 1e12
+            assert objective.overflow_evaluations == 1
+            value, grad = objective(steep, ref_theta, gradient=True)
+        assert value == 1e12 and np.array_equal(grad, np.zeros(5))
+        assert objective.overflow_evaluations == 2
+
     def test_invariant_under_observation_order(self, ref_model, ref_theta, synthetic):
         # the objective is a sum over the aligned hours alone: blanking the
         # quotes before hour 500 gives the value of the series cut to start a

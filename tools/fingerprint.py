@@ -38,9 +38,16 @@ output directories.  The set:
   overflow-penalty plateau of the objective, so the plateau path shows here;
 - ``calibrate`` on two inputs holding a number that is not finite: a
   conventions file with ``delta_hours inf`` and that seasonality report with
-  ``level nan``.
+  ``level nan``;
+- ``fit-ou`` on seven market-data CSVs with one defect each, written by the
+  setup script and named in ``BAD_CSV``: a 2 h jump, a duplicated stamp and
+  ``x`` as the intraday value on data row 4,096 (the first row after 4,096
+  clean ones), ``inf`` as a day-ahead price, a ``+01:00`` stamp after naive
+  ones, a short row, and blank rows only.
 
-Each ``*.out`` file holds one command's stdout and ends with its exit code.
+Each ``*.out`` file holds one command's stdout and ends with its exit code;
+the ``fit_ou_bad_*`` ones hold its stderr too, where the reader's error
+goes.
 """
 
 from __future__ import annotations
@@ -65,6 +72,28 @@ pairs = _seasonality_report_pairs(model.price_seasonality)
 _write_report("gamma3.txt", pairs)
 _write_report("gamma3_nan.txt", [(k, "nan" if k == "level" else v) for k, v in pairs])
 _write_report("conventions_inf.txt", [("epsilon_hours", 1.0), ("delta_hours", float("inf"))])
+
+import datetime
+start = datetime.datetime(2015, 3, 1)
+rows = [f"{start + datetime.timedelta(hours=h)},{50 + h % 7},{30 + h % 5},{31 + h % 3}"
+        for h in range(4200)]
+
+def write_bad(name, lines):
+    with open(f"bad_{name}.csv", "w") as fh:
+        fh.write("timestamp,load,day_ahead,intraday\\n" + "".join(line + "\\n" for line in lines))
+
+def edit(r, column, text):
+    fields = rows[r].split(",")
+    fields[column] = text
+    return rows[:r] + [",".join(fields)] + rows[r + 1:]
+
+write_bad("gap", rows[:4096] + rows[4097:])
+write_bad("duplicate", edit(4096, 0, rows[4095].split(",")[0]))
+write_bad("number", edit(4096, 3, "x"))
+write_bad("inf", edit(10, 2, "inf"))
+write_bad("offset", edit(5, 0, rows[5].split(",")[0] + "+01:00"))
+write_bad("short", rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:])
+write_bad("blank", ["", " ", ",,,"])
 """
 
 ORACLE_HEX_SCRIPT = """
@@ -175,13 +204,16 @@ CLI_RUNS = [
     ("calibrate_gamma3_nan", ["calibrate", "--data", "series.csv", "--gamma3", "gamma3_nan.txt",
                               "--out", "calibration_gamma3_nan_report.txt"]),
 ]
+BAD_CSV = ("gap", "duplicate", "number", "inf", "offset", "short", "blank")
 
 
-def run(out: Path, name: str, argv: list[str], env: dict) -> None:
-    """Run ``argv`` in ``out`` and keep its stdout and exit code as ``name.out``."""
+def run(out: Path, name: str, argv: list[str], env: dict, stderr: bool = False) -> None:
+    """Run ``argv`` in ``out`` and keep its stdout (and with ``stderr`` its
+    stderr) and exit code as ``name.out``."""
     proc = subprocess.run([sys.executable, *argv], cwd=out, env=env,
                           capture_output=True, text=True)
-    (out / f"{name}.out").write_text(f"{proc.stdout}exit code {proc.returncode}\n")
+    kept = proc.stdout + (proc.stderr if stderr else "")
+    (out / f"{name}.out").write_text(f"{kept}exit code {proc.returncode}\n")
     print(f"{name}: exit code {proc.returncode}", flush=True)
 
 
@@ -200,6 +232,10 @@ def main() -> int:
                    cwd=out, env=env, check=True)
     for name, argv in CLI_RUNS:
         run(out, name, ["-m", "intrinsicprice", *argv], env)
+    for name in BAD_CSV:
+        run(out, f"fit_ou_bad_{name}", ["-m", "intrinsicprice", "fit-ou", "--data",
+                                        f"bad_{name}.csv", "--out", f"ou_bad_{name}.txt"],
+            env, stderr=True)
     for demo in DEMOS:
         run(out, f"demo_{demo.stem}", [str(demo)], env)
     return 0
