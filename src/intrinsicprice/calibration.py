@@ -157,12 +157,21 @@ def _quote_legs(ou: OuParams, supply: SupplyParams, theta: float, conv: MarketCo
     return g_q, quotes
 
 
+def _check_epoch(series: MarketSeries, model: SeasonalityModel, name: str) -> None:
+    """Raise unless ``model`` counts its hours from the series' epoch."""
+    if model.epoch != series.epoch:
+        raise DomainError(f"the {name} seasonality counts hours from {model.epoch}, "
+                          f"but the data count them from {series.epoch}")
+
+
 class PricingObjective:
     """Stage-3 objective with all data-dependent quantities precomputed for
     the aligned rows: the hours past the first day with both quotes."""
 
     def __init__(self, series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,
                  gamma3: SeasonalityModel, conv: MarketConventions):
+        _check_epoch(series, g_tilde, "load")
+        _check_epoch(series, gamma3, "price")
         lag = _hour_rows(conv.delta, "day length")
         n = len(series)
         aligned = np.isfinite(series.intraday) & np.isfinite(series.day_ahead)
@@ -381,6 +390,8 @@ def calibrate(series: MarketSeries, cal: Calendar, conv: MarketConventions,
     """Full pipeline: load seasonality, OU fit, price seasonality (unless a
     known one is supplied), direct supply guess, then the joint
     supply/theta optimisation."""
+    if gamma3 is not None:
+        _check_epoch(series, gamma3, "price")
     g_tilde = fit_load_seasonality(series, cal)
     ou = fit_ou(series, g_tilde)
     if gamma3 is None:
@@ -389,86 +400,45 @@ def calibrate(series: MarketSeries, cal: Calendar, conv: MarketConventions,
                                   initial_supply_guess(series, gamma3, conv))
 
 
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
-_SQRT_EPS = np.sqrt(2.2e-16)
-_BRENT_MAXFUN = 500
+_GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)   # the factor a golden-section round shrinks by
 
 
-def _bounded_brent(f, n: int, lower: float, upper: float, xatol: float) -> np.ndarray:
-    """Minimise ``n`` functions of one variable on ``[lower, upper]`` at once.
+def _golden_search(f, n: int, lower: float, upper: float, xatol: float) -> np.ndarray:
+    """Minimise ``n`` functions of one variable on ``[lower, upper]`` at once
+    by golden-section search (Kiefer 1953).
 
-    Each lane takes the steps of scipy's bounded Brent search
-    (``minimize_scalar(method="bounded")``, Brent 1973, ch. 5): the first
-    point at the golden section, then parabolic or golden-section steps,
-    with the same acceptance rules, tie-breaks and stopping test, so each
-    lane ends where a scalar search of its function would.  ``f`` maps one
-    point per lane to one value per lane; a lane that has stopped is held
-    at its best point, and all stop after 500 evaluations.  Returns the
-    best point of each lane.
+    ``f`` maps one point per lane to one value per lane.  Each round keeps
+    the part of every lane's bracket beside its lower inner value (the upper
+    part on a tie) and evaluates one new point, until the brackets are
+    shorter than ``xatol``.  The round count depends only on the bounds, so
+    each lane ends where a one-lane search of its own function would.
+    Returns each lane's better inner point, the upper one on a tie.
     """
-    a = np.full(n, float(lower))
-    b = np.full(n, float(upper))
-    xf = a + _GOLDEN * (b - a)
-    fulc = nfc = xf
-    rat = e = np.zeros(n)
-    fx = ffulc = fnfc = np.asarray(f(xf), dtype=float)
-    num = 1
-    xm, tol1 = 0.5 * (a + b), _SQRT_EPS * np.abs(xf) + xatol / 3.0
-    active = np.abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a)
-    while active.any():
-        tol2 = 2.0 * tol1
-        # the parabola through the three best points, where it is acceptable
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                         & (p > q * (a - xf)) & (p < q * (b - xf)))
-            step = (p + 0.0) / q
-            near_bound = ((xf + step - a) < tol2) | ((b - (xf + step)) < tol2)
-        step = np.where(near_bound, tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
-        # otherwise a golden-section step into the larger part of the bracket
-        golden = np.where(xf >= xm, a - xf, b - xf)
-        e_new = np.where(parabolic, rat, golden)
-        rat_new = np.where(parabolic, step, _GOLDEN * golden)
-        x = xf + (np.sign(rat_new) + (rat_new == 0)) * np.maximum(np.abs(rat_new), tol1)
-        x = np.where(active, x, xf)
-        fu = np.asarray(f(x), dtype=float)
-        num += 1
-
-        better = active & (fu <= fx)
-        worse = active & ~(fu <= fx)
-        second = worse & ((fu <= fnfc) | (nfc == xf))
-        third = worse & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        a = np.where(better & (x >= xf), xf, np.where(worse & (x < xf), x, a))
-        b = np.where(better & ~(x >= xf), xf, np.where(worse & ~(x < xf), x, b))
-        fulc, ffulc = (np.where(better | second, nfc, np.where(third, x, fulc)),
-                       np.where(better | second, fnfc, np.where(third, fu, ffulc)))
-        nfc, fnfc = (np.where(better, xf, np.where(second, x, nfc)),
-                     np.where(better, fx, np.where(second, fu, fnfc)))
-        xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
-        e, rat = np.where(active, e_new, e), np.where(active, rat_new, rat)
-        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        if num >= _BRENT_MAXFUN:
-            break
-        active &= np.abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a)
-    return xf
+    a, b = np.full(n, float(lower)), np.full(n, float(upper))
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = np.asarray(f(c), dtype=float), np.asarray(f(d), dtype=float)
+    for _ in range(int(np.ceil(np.log(xatol / (upper - lower)) / np.log(_GOLDEN)))):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = np.asarray(f(x), dtype=float)
+        c, fc, d, fd = (np.where(left, x, d), np.where(left, fx, fd),
+                        np.where(left, c, x), np.where(left, fc, fx))
+    return np.where(fc < fd, c, d)
 
 
 def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: OuParams,
                           gamma3: SeasonalityModel, supply: SupplyParams,
                           conv: MarketConventions) -> list[tuple[_dt.date, float]]:
     """Per calendar month, the ``theta`` minimising the pricing objective
-    on that month's hours with everything else frozen (bounded search on
-    [-1, 1], tol 1e-6).
+    on that month's hours with everything else frozen (golden-section
+    search on [-1, 1] to within 1e-6, 33 evaluations).
 
     Months with fewer than 48 aligned delivery hours are
     skipped with a warning.  Returns (first-of-month, theta) pairs in
     chronological order.  All months are searched together: each round
     prices every aligned hour once, with its month's trial ``theta``.
+    Both seasonalities must count their hours from the series' epoch.
     """
     month = _month_keys(series.taus, series.epoch)
     # taus increase, so each month's hours are one block
@@ -501,5 +471,5 @@ def implied_theta_monthly(series: MarketSeries, g_tilde: SeasonalityModel, ou: O
             sums = [objective._fit(supply, th, block)[0] for th, block in zip(theta, blocks)]
         return [_value(ss, n) for ss, n in zip(sums, n_obs)]
 
-    theta = _bounded_brent(values, kept.size, -1.0, 1.0, xatol=1e-6)
+    theta = _golden_search(values, kept.size, -1.0, 1.0, xatol=1e-6)
     return [(key.item(), float(th)) for key, th in zip(months[kept], theta)]

@@ -7,7 +7,7 @@ import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, EstimationError
-from intrinsicprice.calibration import PricingObjective, _bounded_brent
+from intrinsicprice.calibration import PricingObjective, _golden_search
 
 
 @pytest.fixture(scope="module")
@@ -457,15 +457,36 @@ class TestFullPipelineAndMonthlyTheta:
                                            ref_model.conv)
         assert len(out) == 1
 
+    def test_seasonality_epoch_must_be_the_series_epoch(self, ref_model, ref_theta):
+        # the same hours counted from 2015-01-31: the reference seasonalities
+        # count theirs from 2015-01-01, so they would be read 30 days early
+        series = ip.generate_synthetic(ref_model, ref_theta, 24 * 62, 0.1, seed=13)
+        late = ip.MarketSeries(epoch=dt.date(2015, 1, 31), taus=series.taus[720:] - 720.0,
+                               load=series.load[720:], day_ahead=series.day_ahead[720:],
+                               intraday=series.intraday[720:])
+        g_tilde = ip.p_seasonality_from_q(ref_model.load_seasonality, ref_model.ou, ref_theta)
+        with pytest.raises(DomainError, match="the load seasonality counts hours from "
+                                              "2015-01-01, but the data count them from "
+                                              "2015-01-31"):
+            ip.implied_theta_monthly(late, g_tilde, ref_model.ou, ref_model.price_seasonality,
+                                     ref_model.supply, ref_model.conv)
+
+    def test_known_gamma3_epoch_checked_before_any_stage(self, ref_model):
+        # sixty hours are too few for stage 1, so only a check made first
+        # can name the epochs
+        with pytest.raises(DomainError, match="the price seasonality counts hours from "
+                                              "2015-01-01, but the data count them from "
+                                              "2015-01-31"):
+            ip.calibrate(tiny_series(epoch=dt.date(2015, 1, 31)), ip.Calendar(),
+                         ref_model.conv, gamma3=ref_model.price_seasonality)
+
 
 def monthly_search_one_by_one(series, g_tilde, ou, gamma3, supply, conv):
-    """The implied-theta search as one scalar bounded Brent search per month,
-    each on an objective built from that month's hours alone (with the day
-    of load before them): the reference the lockstep search must equal.
+    """The implied-theta search as one one-lane golden-section search per
+    month, each on an objective built from that month's hours alone (with the
+    day of load before them): the reference the lockstep search must equal.
     Also returns, per searched month, its overflow count and its objective at
     the search's first point."""
-    from scipy.optimize import minimize_scalar
-
     hours = np.datetime64(series.epoch, "h") + series.taus.astype("timedelta64[h]")
     month_of_row = hours.astype("datetime64[M]").astype(str)
     lag = int(conv.delta)
@@ -484,10 +505,9 @@ def monthly_search_one_by_one(series, g_tilde, ou, gamma3, supply, conv):
         if objective.n_obs < 48:
             warnings.warn(f"month {key}: only {objective.n_obs} aligned hours; skipped")
             continue
-        res = minimize_scalar(lambda th: objective(supply, th), bounds=(-1.0, 1.0),
-                              method="bounded", options={"xatol": 1e-6})
+        theta = _golden_search(lambda th: [objective(supply, th[0])], 1, -1.0, 1.0, 1e-6)
         year, number = (int(p) for p in key.split("-"))
-        out.append((dt.date(year, number, 1), float(res.x)))
+        out.append((dt.date(year, number, 1), float(theta[0])))
         overflows[key] = (objective.overflow_evaluations, objective(supply, -0.2360679774997898))
     return out, overflows
 
@@ -502,34 +522,52 @@ def recorded(fn, *args):
 
 def lane_functions():
     """Functions of one variable on [-1, 1] with minima inside, at and past
-    the bounds, kinks, flat plateaus, ties and several local minima."""
+    the bounds, kinks, flat plateaus, ties and several local minima, as
+    ``(f, c)`` pairs: ``c`` is the one minimiser of ``f`` on the real line,
+    or None."""
     fns = []
     near_bounds = [s * (1.0 - d) for s in (-1.0, 1.0) for d in (1e-7, 4e-7, 1e-5)]
     for c in [*np.linspace(-1.6, 1.6, 17), *near_bounds]:
-        fns += [lambda x, c=c: (x - c) ** 2, lambda x, c=c: abs(x - c),
-                lambda x, c=c: min((x - c) ** 2, 0.25),
-                lambda x, c=c: np.floor(8.0 * (x - c)) ** 2,
-                lambda x, c=c: np.cos(9.0 * (x - c)) + 0.1 * x,
-                lambda x, c=c: (x - c) ** 4 - x * x,
-                lambda x, c=c: 1e12 if x < c else (x - c - 0.3) ** 2,
-                lambda x, c=c: np.exp(4.0 * (x - c)) - 4.0 * (x - c),
-                lambda x, c=c: (x - c) ** 2 * (2.0 + np.sin(7.0 * x))]
-    fns += [lambda x: 1.0, lambda x: 0.0, lambda x: float(x > 0.0), lambda x: -x, lambda x: x]
+        fns += [(lambda x, c=c: (x - c) ** 2, c), (lambda x, c=c: abs(x - c), c),
+                (lambda x, c=c: min((x - c) ** 2, 0.25), None),
+                (lambda x, c=c: np.floor(8.0 * (x - c)) ** 2, None),
+                (lambda x, c=c: np.cos(9.0 * (x - c)) + 0.1 * x, None),
+                (lambda x, c=c: (x - c) ** 4 - x * x, None),
+                (lambda x, c=c: 1e12 if x < c else (x - c - 0.3) ** 2, None),
+                (lambda x, c=c: np.exp(4.0 * (x - c)) - 4.0 * (x - c), c),
+                (lambda x, c=c: (x - c) ** 2 * (2.0 + np.sin(7.0 * x)), None)]
+    fns += [(lambda x: 1.0, None), (lambda x: 0.0, None), (lambda x: float(x > 0.0), None),
+            (lambda x: -x, None), (lambda x: x, None)]
     return fns
+
+
+def search_lanes(fns):
+    return _golden_search(lambda x: [f(v) for f, v in zip(fns, x)], len(fns), -1.0, 1.0,
+                          xatol=1e-6)
 
 
 class TestImpliedThetaLockstep:
     SPIKE_ROW = 3132     # 2015-05-11 12:00
 
-    def test_each_lane_takes_the_scalar_search_steps(self):
-        from scipy.optimize import minimize_scalar
+    def test_each_lane_equals_its_one_lane_search(self):
+        fns = [f for f, _ in lane_functions()]
+        assert len(fns) == 212
+        assert search_lanes(fns).tolist() == [search_lanes([f])[0] for f in fns]
 
-        fns = lane_functions()
-        expected = [minimize_scalar(f, bounds=(-1.0, 1.0), method="bounded",
-                                    options={"xatol": 1e-6}).x for f in fns]
-        got = _bounded_brent(lambda x: [f(v) for f, v in zip(fns, x)], len(fns), -1.0, 1.0,
-                             xatol=1e-6)
-        assert got.tolist() == expected
+    def test_single_minimiser_found_within_xatol(self):
+        pairs = [(f, c) for f, c in lane_functions() if c is not None]
+        got = search_lanes([f for f, _ in pairs])
+        target = np.clip([c for _, c in pairs], -1.0, 1.0)
+        assert len(pairs) == 69
+        assert np.all(np.abs(got - target) <= 1e-6)
+
+    def test_constant_lanes_end_at_the_upper_bound(self):
+        # a tie keeps the upper part, so a month whose objective is flat (on
+        # the overflow-penalty plateau) ends at +1
+        grid = np.linspace(-1.0, 1.0, 101)
+        flat = [f for f, _ in lane_functions() if len({f(x) for x in grid}) == 1]
+        assert len(flat) == 7
+        assert np.all(np.abs(search_lanes(flat) - 1.0) <= 1e-6)
 
     @pytest.fixture(scope="class")
     def half_year(self, ref_model, ref_theta):

@@ -28,6 +28,15 @@ def data_file(tmp_path_factory, ref_model, ref_theta):
     return path
 
 
+@pytest.fixture(scope="module")
+def late_data_file(tmp_path_factory, data_file):
+    """``data_file`` cut to start on its 31st day, 2015-01-31."""
+    path = tmp_path_factory.mktemp("late") / "market.csv"
+    lines = data_file.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "".join(lines[1 + 30 * 24:]))
+    return path
+
+
 class TestParamsRoundTrip:
     def test_model_json_round_trip(self, ref_model, ref_theta):
         blob = cli.model_to_params(ref_model, ref_theta)
@@ -237,6 +246,26 @@ class TestImpliedTheta:
         assert out.read_text().count("\n") == 14   # the header and 13 months
 
 
+class TestSeasonalityEpoch:
+    @pytest.mark.parametrize("argv, name", [
+        (["implied-theta", "--params", "{params}", "--data", "{data}", "--out", "{out}"],
+         "load"),
+        (["calibrate", "--data", "{data}", "--gamma3", "{gamma3}", "--out", "{out}"], "price"),
+    ], ids=["implied-theta", "calibrate-gamma3"])
+    def test_other_epoch_than_the_data_is_usage_error(self, argv, name, tmp_path, params_file,
+                                                      late_data_file, ref_model, capsys):
+        gamma3 = tmp_path / "gamma3.txt"
+        cli._write_report(gamma3, cli._seasonality_report_pairs(ref_model.price_seasonality))
+        out = tmp_path / "out.txt"
+        argv = [a.format(params=params_file, data=late_data_file, gamma3=gamma3, out=out)
+                for a in argv]
+        assert cli.main(argv) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the {name} seasonality counts hours from 2015-01-01, "
+            "but the data count them from 2015-01-31"]
+
+
 class TestVerify:
     def test_clean_run_exits_zero(self, capsys):
         code = cli.main(["verify", "--paths", "60000", "--nested-paths", "30000",
@@ -292,14 +321,21 @@ class TestUsageErrors:
             code = exc.code
         assert code == 2
 
-    # each asks for an array of several PiB, which numpy refuses before allocating
+    # the first two ask for an array of several PiB, which numpy refuses before
+    # allocating; the last two for a grid with no points
     @pytest.mark.parametrize("argv, err", [
         (["risk-premium", "--params", "{params}", "--tau", "2160", "--t-start", "0",
           "--t-end", "2000", "--t-step", "1e-12", "--out", "{out}"],
          "error: --t-step 1e-12 gives 2000000000000001 grid points, more than memory can hold\n"),
         (["simulate", "--params", "{params}", "--span", "1000000000000000", "--out", "{out}"],
          "error: Unable to allocate"),
-    ], ids=["risk-premium", "simulate"])
+        (["risk-premium", "--params", "{params}", "--tau", "2160", "--t-start", "0",
+          "--t-end", "2000", "--t-step", "0", "--out", "{out}"],
+         "error: need t_step > 0 and t_end >= t_start\n"),
+        (["risk-premium", "--params", "{params}", "--tau", "2160", "--t-start", "2000",
+          "--t-end", "1999", "--out", "{out}"],
+         "error: need t_step > 0 and t_end >= t_start\n"),
+    ], ids=["risk-premium", "simulate", "t-step-zero", "t-end-before-t-start"])
     def test_oversized_grid_is_usage_error(self, argv, err, tmp_path, params_file, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(params=params_file, out=out) for a in argv]
@@ -348,13 +384,24 @@ class TestBadInputFiles:
             path.write_text('{"epoch": "2015-01-01",\n')
         elif kind == "too-deep":
             path.write_text("[" * 100_000 + "]" * 100_000)
+        elif kind == "empty":
+            path.write_text("")
+        elif kind in ("header-only", "one-row"):
+            rows = ["timestamp,load,day_ahead,intraday", "2015-01-01 00:00:00,47,30,30"]
+            path.write_text("\n".join(rows[:1 + (kind == "one-row")]) + "\n")
         return path
+
+    # the message after the path, for the kinds whose error is the reader's own
+    MESSAGES = {"empty": ":1: empty file, header row required",
+                "header-only": ": need at least two data rows",
+                "one-row": ": need at least two data rows"}
 
     @pytest.mark.parametrize("flag, kind", [
         *itertools.product(["--data", "--params", "--calendar", "--conventions", "--gamma3"],
                            ["missing", "directory", "not-utf8"]),
         ("--params", "not-json"),
         ("--params", "too-deep"),
+        *itertools.product(["--data"], ["empty", "header-only", "one-row"]),
     ])
     def test_bad_file_exits_two(self, flag, kind, tmp_path, params_file, data_file, capsys):
         bad = self.make(kind, tmp_path)
@@ -372,6 +419,7 @@ class TestBadInputFiles:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
+        assert kind not in self.MESSAGES or err == f"error: {bad}{self.MESSAGES[kind]}\n"
 
     def test_params_number_past_the_float_range(self, tmp_path, ref_model, capsys):
         params = tmp_path / "long.json"

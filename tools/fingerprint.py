@@ -43,11 +43,15 @@ output directories.  The set:
   setup script and named in ``BAD_CSV``: a 2 h jump, a duplicated stamp and
   ``x`` as the intraday value on data row 4,096 (the first row after 4,096
   clean ones), ``inf`` as a day-ahead price, a ``+01:00`` stamp after naive
-  ones, a short row, and blank rows only.
+  ones, a short row, and blank rows only;
+- ``implied-theta --params params.json`` and ``calibrate --gamma3
+  gamma3.txt`` on a 400-day synthetic CSV cut to start on its 31st day, so
+  that the seasonalities count their hours from another day than the data:
+  the ``EPOCH_RUNS``, which must exit 2.
 
 Each ``*.out`` file holds one command's stdout and ends with its exit code;
-the ``fit_ou_bad_*`` ones hold its stderr too, where the reader's error
-goes.
+the ``fit_ou_bad_*`` and ``EPOCH_RUNS`` ones hold its stderr too, where the
+error goes.
 """
 
 from __future__ import annotations
@@ -94,6 +98,13 @@ write_bad("inf", edit(10, 2, "inf"))
 write_bad("offset", edit(5, 0, rows[5].split(",")[0] + "+01:00"))
 write_bad("short", rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:])
 write_bad("blank", ["", " ", ",,,"])
+
+from intrinsicprice.data import generate_synthetic, write_series
+write_series(generate_synthetic(model, theta, 400 * 24, 0.5, seed=0), "series_late.csv")
+with open("series_late.csv") as fh:
+    lines = fh.readlines()
+with open("series_late.csv", "w") as fh:
+    fh.writelines(lines[:1] + lines[1 + 30 * 24:])
 """
 
 ORACLE_HEX_SCRIPT = """
@@ -205,6 +216,12 @@ CLI_RUNS = [
                               "--out", "calibration_gamma3_nan_report.txt"]),
 ]
 BAD_CSV = ("gap", "duplicate", "number", "inf", "offset", "short", "blank")
+EPOCH_RUNS = [
+    ("implied_theta_late", ["implied-theta", "--params", "params.json",
+                            "--data", "series_late.csv", "--out", "implied_theta_late.csv"]),
+    ("calibrate_gamma3_late", ["calibrate", "--data", "series_late.csv", "--gamma3", "gamma3.txt",
+                               "--out", "calibration_gamma3_late_report.txt"]),
+]
 
 
 def run(out: Path, name: str, argv: list[str], env: dict, stderr: bool = False) -> None:
@@ -236,6 +253,8 @@ def main() -> int:
         run(out, f"fit_ou_bad_{name}", ["-m", "intrinsicprice", "fit-ou", "--data",
                                         f"bad_{name}.csv", "--out", f"ou_bad_{name}.txt"],
             env, stderr=True)
+    for name, argv in EPOCH_RUNS:
+        run(out, name, ["-m", "intrinsicprice", *argv], env, stderr=True)
     for demo in DEMOS:
         run(out, f"demo_{demo.stem}", [str(demo)], env)
     return 0
