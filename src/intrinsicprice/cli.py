@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as _dt
 import json
 import sys
@@ -54,13 +55,9 @@ def model_to_params(model: ModelQ, theta: float) -> dict:
     cal = model.load_seasonality.calendar
     return {
         "epoch": model.load_seasonality.epoch.isoformat(),
-        "conventions": {
-            "epsilon": model.conv.epsilon, "delta": model.conv.delta,
-            "annual_rate": model.conv.annual_rate, "hours_per_year": model.conv.hours_per_year,
-        },
+        "conventions": dataclasses.asdict(model.conv),
         "ou": {"lambda": model.ou.lam, "sigma": model.ou.sigma, "x0": model.ou.x0},
-        "supply": {"alpha1": model.supply.alpha1, "alpha2": model.supply.alpha2,
-                   "beta1": model.supply.beta1, "beta2": model.supply.beta2},
+        "supply": dataclasses.asdict(model.supply),
         "theta": theta,
         "load_seasonality": _seasonality_to_dict(model.load_seasonality),
         "price_seasonality": _seasonality_to_dict(model.price_seasonality),

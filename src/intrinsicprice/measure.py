@@ -18,6 +18,8 @@ when ``theta = 0``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import DomainError
@@ -49,24 +51,12 @@ def to_risk_neutral_state(x_tilde, ou: OuParams, theta: float, tau,
 
 def p_seasonality_from_q(g: SeasonalityModel, ou: OuParams, theta: float) -> SeasonalityModel:
     """First-order real-world seasonal shape: the trend gains ``lam sigma theta``."""
-    return g.with_trend(g.trend + ou.lam * ou.sigma * theta)
+    return replace(g, trend=g.trend + ou.lam * ou.sigma * theta)
 
 
 def q_seasonality_from_p(g_tilde: SeasonalityModel, ou: OuParams, theta: float) -> SeasonalityModel:
     """Invert the first-order relation: the trend loses ``lam sigma theta``."""
-    return g_tilde.with_trend(g_tilde.trend - ou.lam * ou.sigma * theta)
-
-
-def _density_inputs(w_increments, grid):
-    grid = np.asarray(grid, dtype=float)
-    w_increments = np.asarray(w_increments, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise DomainError("grid must be a non-empty 1-d array")
-    if np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly increasing")
-    if w_increments.shape[-1] != grid.size - 1:
-        raise DomainError("need one Brownian increment per grid interval")
-    return w_increments, grid
+    return replace(g_tilde, trend=g_tilde.trend - ou.lam * ou.sigma * theta)
 
 
 def radon_nikodym_path(drift: float, w_increments, grid) -> np.ndarray:
@@ -79,7 +69,14 @@ def radon_nikodym_path(drift: float, w_increments, grid) -> np.ndarray:
     time (1 at the first).  For a constant parameter the Novikov condition
     holds automatically, so the result is a positive unit-mean martingale.
     """
-    w_increments, grid = _density_inputs(w_increments, grid)
+    grid = np.asarray(grid, dtype=float)
+    w_increments = np.asarray(w_increments, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise DomainError("grid must be a non-empty 1-d array")
+    if np.any(np.diff(grid) <= 0):
+        raise DomainError("grid must be strictly increasing")
+    if w_increments.shape[-1] != grid.size - 1:
+        raise DomainError("need one Brownian increment per grid interval")
     w_cum = np.cumsum(w_increments, axis=-1)
     elapsed = grid[1:] - grid[0]
     log_density = drift * w_cum - 0.5 * drift**2 * elapsed
@@ -87,17 +84,14 @@ def radon_nikodym_path(drift: float, w_increments, grid) -> np.ndarray:
     return np.concatenate([ones, np.exp(log_density)], axis=-1)
 
 
-def _terminal_density(drift: float, w_increments, grid) -> np.ndarray:
-    """The last column of :func:`radon_nikodym_path`, bit for bit, without
-    building the path: the increments are summed one grid interval at a
-    time, in the order ``cumsum`` adds them."""
-    w_increments, grid = _density_inputs(w_increments, grid)
-    if grid.size == 1:
-        return np.ones(w_increments.shape[:-1])
-    w_end = w_increments[..., 0].copy()
-    for k in range(1, grid.size - 1):
+def _terminal_density(drift: float, w_increments: np.ndarray, horizon: float) -> np.ndarray:
+    """The last column of :func:`radon_nikodym_path` on a grid spanning
+    ``horizon``, bit for bit, without building the path: the increments
+    are summed from zero in the order ``cumsum`` adds them."""
+    w_end = np.zeros(w_increments.shape[:-1])
+    for k in range(w_increments.shape[-1]):
         w_end += w_increments[..., k]
-    return np.exp(drift * w_end - 0.5 * drift**2 * (grid[-1] - grid[0]))
+    return np.exp(drift * w_end - 0.5 * drift**2 * horizon)
 
 
 def _real_world_legs(model: ModelQ, theta: float, tau, horizon, g_tau_e, x_tilde):

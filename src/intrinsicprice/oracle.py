@@ -281,9 +281,7 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
 
     def values_weighted(z):
         dw, (x_tau,) = _w_walk(ou, x_q, span, z[:, :1], z[:, 1:], cfg.mutation_drift)
-        # a zero span has no grid interval, and the density there is 1
-        density = _terminal_density(density_drift, dw, [0.0, span]) if span > 0 else 1.0
-        return density * intraday_price(model, tau, x_tau)
+        return _terminal_density(density_drift, dw, span) * intraday_price(model, tau, x_tau)
 
     weighted_cfg = replace(cfg, seed=cfg.seed + 1)
     est_b = _run_batches(weighted_cfg, 2, values_weighted)
@@ -352,13 +350,12 @@ def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float,
                          cfg: McConfig) -> OracleCheck:
     """The density process has unit expectation at the horizon.  Mutation
     adds ``mutation_drift * h`` to each Brownian increment over a step ``h``."""
-    grid = np.linspace(0.0, horizon, _DENSITY_STEPS + 1)
     h = horizon / _DENSITY_STEPS
     sqrt_h = math.sqrt(h)
     density_drift = ou.lam * theta
 
     def values(z):
-        return _terminal_density(density_drift, sqrt_h * z + cfg.mutation_drift * h, grid)
+        return _terminal_density(density_drift, sqrt_h * z + cfg.mutation_drift * h, horizon)
 
     return OracleCheck("density process unit mean", 1.0,
                        _run_batches(cfg, _DENSITY_STEPS, values))
@@ -369,7 +366,6 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float,
     """Weighting pricing-measure samples by the density must reproduce the
     real-world mean and variance of the centred deviation.  Mutation adds
     ``mutation_drift`` to the drift of the simulated deviation."""
-    grid = np.linspace(0.0, horizon, _DENSITY_STEPS + 1)
     h = horizon / _DENSITY_STEPS
     density_drift = ou.lam * theta
     mean_p, var_p = transition(ou, ou.x0, horizon)
@@ -378,7 +374,7 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float,
         # centred deviation under P: the pricing-measure path with drift -lam sigma theta
         dw, states = _w_walk(ou, ou.x0, h, z[:, :_DENSITY_STEPS], z[:, _DENSITY_STEPS:],
                              -ou.lam * ou.sigma * theta + cfg.mutation_drift)
-        return states[-1], _terminal_density(density_drift, dw, grid)
+        return states[-1], _terminal_density(density_drift, dw, horizon)
 
     def values_mean(z):
         x, nu = terminal(z)

@@ -64,11 +64,6 @@ _DOW_DUMMY_SLOT = {
 }
 
 
-def _day_and_hour(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    whole = np.floor(taus).astype(np.int64)
-    return whole // 24, whole % 24
-
-
 def _month_keys(taus: np.ndarray, epoch: _dt.date) -> np.ndarray:
     """The delivery month (``datetime64[M]``, printed "YYYY-MM") of each hour
     offset from midnight of ``epoch``."""
@@ -101,14 +96,20 @@ def _classify_days(day_indices: np.ndarray, epoch: _dt.date, cal: Calendar) -> n
     return classes
 
 
+def _hours_and_classes(tau, epoch: _dt.date, cal: Calendar):
+    """``tau`` (hours since midnight of ``epoch``, at least 0) as a float
+    array of at least one dimension, with the hour of day and the weekday
+    class of each entry."""
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if (taus < 0).any():
+        raise DomainError("seasonality is defined for tau >= 0 only")
+    whole = np.floor(taus).astype(np.int64)
+    return taus, whole % 24, _classify_days(whole // 24, epoch, cal)
+
+
 def design_matrix(taus, epoch: _dt.date, cal: Calendar) -> np.ndarray:
     """Design rows for a vector of times (hours since midnight of ``epoch``)."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any(taus < 0):
-        raise DomainError("seasonality is defined for tau >= 0 only")
-    days, hours = _day_and_hour(taus)
-    classes = _classify_days(days, epoch, cal)
-
+    taus, hours, classes = _hours_and_classes(taus, epoch, cal)
     X = np.zeros((taus.size, N_COLUMNS))
     X[:, 0] = 1.0
     X[:, 1] = taus
@@ -176,10 +177,6 @@ class SeasonalityModel:
         beta[7:] = self.hod_weights[1:]
         return beta
 
-    def with_trend(self, trend: float) -> "SeasonalityModel":
-        return SeasonalityModel(self.level, trend, self.sin_annual, self.cos_annual,
-                                self.dow_weights, self.hod_weights, self.calendar, self.epoch)
-
 
 def _from_coefficients(beta: np.ndarray, cal: Calendar, epoch: _dt.date) -> SeasonalityModel:
     dow = np.zeros(4)
@@ -195,11 +192,7 @@ def _from_coefficients(beta: np.ndarray, cal: Calendar, epoch: _dt.date) -> Seas
 def evaluate(model: SeasonalityModel, tau):
     """Seasonal value at ``tau`` (scalar or array of hours since epoch), in
     an array of the shape of ``tau``; the annual phase is computed once."""
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if (taus < 0).any():
-        raise DomainError("seasonality is defined for tau >= 0 only")
-    days, hours = _day_and_hour(taus)
-    classes = _classify_days(days, model.epoch, model.calendar)
+    taus, hours, classes = _hours_and_classes(tau, model.epoch, model.calendar)
     phase = _TWO_PI * taus / HOURS_PER_YEAR
     out = (model.level
            + model.trend * taus

@@ -340,6 +340,22 @@ class TestRiskPremiumOracle:
         checks = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0, 0.5, cfg)
         assert abs(checks[2].z) <= 3.0
 
+    def test_zero_span_prices_the_exact_state(self, ref_model, ref_theta):
+        # at t = tau no time is left: every path of both estimators carries the
+        # forward at the first-order state minus the quote at the exact one,
+        # and the density over a zero span is exactly 1
+        tau, x_tilde = 2160.0, 0.5
+        ou = ref_model.ou
+        expected = (ip.forward_price(ref_model, tau, tau,
+                                     ip.to_risk_neutral_state(x_tilde, ou, ref_theta, tau))
+                    - ip.intraday_price(ref_model, tau, ip.to_risk_neutral_state(
+                        x_tilde, ou, ref_theta, tau, mode="exact")))
+        cfg = ip.McConfig(n_paths=4_000, seed=4)
+        for check in ip.mc_risk_premium(ref_model, ref_theta, tau, tau, x_tilde, cfg)[:2]:
+            # the standard error of equal values is rounding in the sum of squares
+            assert check.estimate.std_error < 1e-6
+            assert check.estimate.mean == pytest.approx(expected, rel=1e-12)
+
     def test_cross_check_is_the_third_check(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=2_000, seed=19)
         direct, weighted, cross = ip.mc_risk_premium(ref_model, ref_theta, 200.0, 268.0,
