@@ -13,6 +13,7 @@ import dataclasses
 import datetime as _dt
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,7 +234,7 @@ def _cmd_price(args) -> int:
                                         var_integral=args.var_integral, span=args.span,
                                         rate=args.rate)
             price = black76_put if args.put else black76_call
-            value = price(inp, conventional=args.conventional)
+            value = price(inp)
     print(repr(float(value)))
     return 0
 
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--rate", type=_finite_float, default=0.0, help="hourly rate")
     po.add_argument("--put", action="store_true")
     po.add_argument("--conventional", action="store_true",
-                    help="use the half-variance d_pm convention")
+                    help="accepted for compatibility: the half-variance d_pm is the default")
     po.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("risk-premium", help="premium path over a grid of trading times")
@@ -389,12 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, DomainError, EstimationError, NumericError, OSError,
-            MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a library warning reaches the user as one line, as the CLI's own do
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ParseError, DomainError, EstimationError, NumericError, OSError,
+                MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

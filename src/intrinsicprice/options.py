@@ -8,9 +8,9 @@ futures price is lognormal and the Black-76 formula applies.
 The lognormal ``d_pm`` is implemented in two variants: ``verbatim`` puts
 the full integrated variance ``v`` in the numerator, ``conventional``
 uses ``v/2`` as in the standard Black-76 derivation.  The Monte Carlo
-engine adjudicates between them (the conventional variant is the one
-consistent with the lognormal forward representation); both remain
-available.
+engine adjudicates between them: the conventional variant, the default,
+is the one consistent with the lognormal forward representation; the
+verbatim one stays available as ``conventional=False``.
 
 The variance itself, :func:`integrated_vol`, integrates the squared
 forward-curve integrand on arrays: each round of its adaptive
@@ -186,12 +186,12 @@ def _d_plus_minus(inp: LognormalOptionInputs, conventional: bool) -> tuple[float
     return (num + shift) / root, (num - shift) / root
 
 
-def black76_call(inp: LognormalOptionInputs, conventional: bool = False) -> float:
+def black76_call(inp: LognormalOptionInputs, conventional: bool = True) -> float:
     """Call on a lognormal futures price.
 
-    ``conventional=False`` uses the full integrated variance in the
-    ``d_pm`` numerator; ``conventional=True`` uses half of it (standard
-    Black-76).  ``var_integral = 0`` degenerates to the discounted
+    ``conventional=True`` (the default) uses half the integrated variance
+    in the ``d_pm`` numerator (standard Black-76); ``conventional=False``
+    uses all of it.  ``var_integral = 0`` degenerates to the discounted
     intrinsic value.
     """
     df = math.exp(-inp.rate * inp.span)
@@ -201,7 +201,7 @@ def black76_call(inp: LognormalOptionInputs, conventional: bool = False) -> floa
     return df * (inp.forward * _norm_cdf(d_plus) - inp.strike * _norm_cdf(d_minus))
 
 
-def black76_put(inp: LognormalOptionInputs, conventional: bool = False) -> float:
+def black76_put(inp: LognormalOptionInputs, conventional: bool = True) -> float:
     df = math.exp(-inp.rate * inp.span)
     if inp.var_integral == 0.0:
         return df * max(inp.strike - inp.forward, 0.0)

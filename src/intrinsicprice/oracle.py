@@ -312,6 +312,8 @@ def mc_option(inputs, payoff: str, cfg: McConfig) -> McEstimate:
     """
     if payoff not in ("call", "put"):
         raise DomainError(f"payoff must be 'call' or 'put', got {payoff!r}")
+    if not isinstance(inputs, (NormalOptionInputs, LognormalOptionInputs)):
+        raise DomainError(f"unsupported option inputs type {type(inputs).__name__}")
     sign = 1.0 if payoff == "call" else -1.0
     df = math.exp(-inputs.rate * inputs.span)
     bump = cfg.mutation_drift * inputs.span
@@ -320,14 +322,12 @@ def mc_option(inputs, payoff: str, cfg: McConfig) -> McEstimate:
         def values(z):
             f_end = inputs.forward + bump + inputs.sigma_ut * z[:, 0]
             return df * np.maximum(sign * (f_end - inputs.strike), 0.0)
-    elif isinstance(inputs, LognormalOptionInputs):
+    else:
         root_v = math.sqrt(inputs.var_integral)
 
         def values(z):
             f_end = inputs.forward * np.exp(-0.5 * inputs.var_integral + root_v * z[:, 0] + bump)
             return df * np.maximum(sign * (f_end - inputs.strike), 0.0)
-    else:
-        raise DomainError(f"unsupported option inputs type {type(inputs).__name__}")
 
     return _run_batches(cfg, 1, values)
 

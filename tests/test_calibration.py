@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, EstimationError
@@ -45,6 +47,16 @@ class TestMarketSeries:
     def test_off_hour_step_rejected(self, taus):
         n = len(taus)
         with pytest.raises(DomainError, match="strictly increasing and hourly"):
+            ip.MarketSeries(epoch=dt.date(2015, 1, 1), taus=np.array(taus), load=np.zeros(n),
+                            day_ahead=np.zeros(n), intraday=np.zeros(n))
+
+    @pytest.mark.parametrize("taus, n, match", [
+        ([0.0, 1.0], 3, "equal length"),
+        ([0.0], 1, "at least two hourly observations"),
+        ([-1.0, 0.0], 2, "cannot start before its epoch"),
+    ], ids=["unequal-lengths", "one-row", "before-epoch"])
+    def test_malformed_series_rejected(self, taus, n, match):
+        with pytest.raises(DomainError, match=match):
             ip.MarketSeries(epoch=dt.date(2015, 1, 1), taus=np.array(taus), load=np.zeros(n),
                             day_ahead=np.zeros(n), intraday=np.zeros(n))
 
@@ -184,6 +196,18 @@ class TestAnalyticGradient:
             rounding = np.finfo(float).eps * value / (1e-8 * np.maximum(np.abs(u), 1.0))
             assert np.all(np.abs(grad - fine) <= 1e-6 * np.abs(fine) + rounding)
 
+    def test_zero_at_an_exact_fit(self, ref_model, ref_theta, synthetic):
+        # market quotes equal to the model's: the root of a zero sum of
+        # squares has no gradient, and zero stands in for it
+        series, g_tilde = synthetic
+        objective = PricingObjective(series, g_tilde, ref_model.ou,
+                                     ref_model.price_seasonality, ref_model.conv)
+        _, quotes, _ = objective._errors(ref_model.supply, ref_theta)
+        objective.intraday_mkt, objective.day_ahead_mkt = quotes[0][0], quotes[1][0]
+        value, grad = objective(ref_model.supply, ref_theta, gradient=True)
+        assert value == 0.0
+        assert np.array_equal(grad, np.zeros(5))
+
     def test_zero_on_the_penalty_plateau_and_counted_once(self, ref_model, synthetic):
         series, g_tilde = synthetic
         objective = PricingObjective(series, g_tilde, ref_model.ou,
@@ -265,6 +289,12 @@ class TestStageFits:
         except EstimationError:
             pass  # a shuffled sample may legitimately look non-mean-reverting
 
+    def test_price_seasonality_needs_both_quotes(self, conv):
+        series = tiny_series(400)
+        one_sided = dataclasses.replace(series, day_ahead=np.full(len(series), np.nan))
+        with pytest.raises(EstimationError, match="no hours with both intraday and day-ahead"):
+            ip.fit_price_seasonality(one_sided, ip.Calendar(), conv)
+
     def test_price_seasonality_fit_recovers_shape(self, ref_model, ref_theta):
         # with the load deviation almost switched off the mixture target is
         # a deterministic seasonal curve the fit must track closely
@@ -317,6 +347,15 @@ class TestInitialGuess:
         assert guess.alpha1 == 0.2
         assert guess.alpha2 == -0.2
         assert guess.beta1 == pytest.approx(np.mean(series.load))
+
+    def test_too_few_quotes_fall_back_with_diagnostic(self, conv):
+        series = tiny_series(400)
+        intraday = np.full(len(series), np.nan)
+        intraday[:7] = 42.0
+        sparse = dataclasses.replace(series, intraday=intraday)
+        with pytest.warns(UserWarning, match="too few intraday quotes"):
+            guess = ip.initial_supply_guess(sparse, ip.SeasonalityModel.constant(30.0), conv)
+        assert (guess.alpha1, guess.alpha2) == (0.2, -0.2)
 
     def test_needs_a_whole_hour_delivery_length(self):
         series = tiny_series(400)
@@ -560,6 +599,14 @@ class TestImpliedThetaLockstep:
         target = np.clip([c for _, c in pairs], -1.0, 1.0)
         assert len(pairs) == 69
         assert np.all(np.abs(got - target) <= 1e-6)
+
+    @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(1e-3, 1e3)), min_size=1,
+                    max_size=12))
+    def test_random_parabolas_end_at_the_clipped_vertex(self, lanes):
+        fns = [lambda x, c=c, a=a: a * (x - c) ** 2 for c, a in lanes]
+        got = search_lanes(fns)
+        assert np.all(np.abs(got - np.clip([c for c, _ in lanes], -1.0, 1.0)) <= 1e-6)
+        assert got.tolist() == [search_lanes([f])[0] for f in fns]
 
     def test_constant_lanes_end_at_the_upper_bound(self):
         # a tie keeps the upper part, so a month whose objective is flat (on

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,18 @@ class TestPrice:
                                   conventional=True)
         assert value == expected
 
+    @pytest.mark.parametrize("put", [False, True], ids=["call", "put"])
+    def test_lognormal_default_is_the_conventional_d_pm(self, put, capsys):
+        # without --conventional the CLI prices the d_pm the oracle accepts
+        code = cli.main(["price", "option", "--family", "lognormal", "--forward", "50",
+                         "--strike", "45", "--var-integral", "0.04", "--span", "24",
+                         "--rate", "1e-7", *["--put"] * put])
+        assert code == 0
+        value = float(capsys.readouterr().out.strip())
+        price = ip.black76_put if put else ip.black76_call
+        assert value == price(ip.LognormalOptionInputs(50.0, 45.0, 0.04, 24.0, 1e-7),
+                              conventional=True)
+
 
 class TestRiskPremiumCommand:
     def test_zero_theta_gives_zero_column(self, tmp_path, ref_model, capsys):
@@ -244,6 +257,34 @@ class TestImpliedTheta:
         assert codes == [0]
         assert not [m for m in scipy_modules if m.startswith("scipy.optimize")]
         assert out.read_text().count("\n") == 14   # the header and 13 months
+
+
+class TestWarnings:
+    """A library warning reaches the CLI user as one ``warning:`` line on
+    stderr, without the source path and line Python's own format shows."""
+
+    def test_supply_fit_fallback(self, tmp_path, data_file, capsys):
+        shown = warnings.showwarning
+        assert cli.main(["calibrate", "--data", str(data_file),
+                         "--out", str(tmp_path / "report.txt")]) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: direct supply fit did not converge to a usable point; "
+                       "using defaults\n")
+        assert ".py:" not in err
+        assert warnings.showwarning is shown   # library callers keep Python's handling
+
+    def test_skipped_month(self, tmp_path, params_file, data_file, capsys):
+        # January's prices blanked but for its last day
+        lines = data_file.read_text().splitlines(keepends=True)
+        gap = tmp_path / "gap.csv"
+        gap.write_text("".join([lines[0], *[line.rsplit(",", 2)[0] + ",,\n"
+                                            for line in lines[1:1 + 30 * 24]],
+                                *lines[1 + 30 * 24:]]))
+        assert cli.main(["implied-theta", "--params", str(params_file), "--data", str(gap),
+                         "--out", str(tmp_path / "theta.csv")]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: month 2015-01: only 24 aligned hours; skipped\n"
+        assert ".py:" not in err
 
 
 class TestSeasonalityEpoch:
@@ -386,6 +427,8 @@ class TestBadInputFiles:
             path.write_text("[" * 100_000 + "]" * 100_000)
         elif kind == "empty":
             path.write_text("")
+        elif kind == "missing-key":
+            path.write_text("epoch 2015-01-01\nlevel 1.0\n")
         elif kind in ("header-only", "one-row"):
             rows = ["timestamp,load,day_ahead,intraday", "2015-01-01 00:00:00,47,30,30"]
             path.write_text("\n".join(rows[:1 + (kind == "one-row")]) + "\n")
@@ -394,7 +437,8 @@ class TestBadInputFiles:
     # the message after the path, for the kinds whose error is the reader's own
     MESSAGES = {"empty": ":1: empty file, header row required",
                 "header-only": ": need at least two data rows",
-                "one-row": ": need at least two data rows"}
+                "one-row": ": need at least two data rows",
+                "missing-key": ": malformed seasonality report: KeyError('trend')"}
 
     @pytest.mark.parametrize("flag, kind", [
         *itertools.product(["--data", "--params", "--calendar", "--conventions", "--gamma3"],
@@ -402,6 +446,7 @@ class TestBadInputFiles:
         ("--params", "not-json"),
         ("--params", "too-deep"),
         *itertools.product(["--data"], ["empty", "header-only", "one-row"]),
+        ("--gamma3", "missing-key"),
     ])
     def test_bad_file_exits_two(self, flag, kind, tmp_path, params_file, data_file, capsys):
         bad = self.make(kind, tmp_path)

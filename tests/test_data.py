@@ -83,6 +83,13 @@ class TestLoadSeries:
         assert coverage["day_ahead"]["missing"] == 2
         assert coverage["intraday"]["first"] == "2014-01-01 02:00:00"
 
+    def test_coverage_of_a_column_without_quotes(self):
+        series = ip.MarketSeries(epoch=dt.date(2015, 1, 1), taus=np.arange(3.0),
+                                 load=np.ones(3), day_ahead=np.full(3, np.nan),
+                                 intraday=np.ones(3))
+        assert ip.price_coverage(series)["day_ahead"] == {
+            "first": None, "last": None, "present": 0, "missing": 3}
+
     def test_malformed_number_names_line_and_column(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [
             "2015-06-28 00:00:00,55.1,30.2,31.3",

@@ -37,6 +37,10 @@ class TestRealWorldSeasonality:
         with pytest.raises(DomainError):
             ip.to_risk_neutral_state(0.0, ref_ou, 0.0, 1.0, mode="quadratic")
 
+    def test_negative_tau_rejected(self, ref_ou):
+        with pytest.raises(DomainError, match="tau must be non-negative"):
+            ip.to_risk_neutral_state(0.0, ref_ou, 0.1, [1.0, -1.0])
+
 
 class TestStateShift:
     def test_identities(self, ref_ou):
@@ -112,6 +116,9 @@ class TestRadonNikodym:
         with pytest.raises(DomainError, match="increasing"):
             ip.radon_nikodym_path(0.1, np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]))
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(DomainError, match="non-empty 1-d array"):
+            ip.radon_nikodym_path(0.1, np.zeros((3, 0)), np.array([]))
 
     @pytest.mark.parametrize("shape", [(1000, 8), (3, 4, 5), (6, 1), (5,), (4, 0)])
     def test_terminal_density_is_the_last_column_bit_for_bit(self, rng, shape):
@@ -247,4 +254,11 @@ class TestRiskPremium:
             CalibrationResult(g_tilde=ref_model.load_seasonality, ou=ref_model.ou,
                               gamma3=ref_model.price_seasonality, supply=ref_model.supply,
                               theta=float("inf"), objective_value=0.0,
+                              diagnostics=CalibrationDiagnostics(iterations=0, converged=False))
+
+    def test_calibration_result_objective_must_be_non_negative(self, ref_model):
+        with pytest.raises(DomainError, match="objective value cannot be negative"):
+            CalibrationResult(g_tilde=ref_model.load_seasonality, ou=ref_model.ou,
+                              gamma3=ref_model.price_seasonality, supply=ref_model.supply,
+                              theta=0.0, objective_value=-1.0,
                               diagnostics=CalibrationDiagnostics(iterations=0, converged=False))

@@ -266,6 +266,16 @@ class TestBlack76:
             ip.LognormalOptionInputs(50.0, 0.0, 0.04, 0.0)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: ip.NormalOptionInputs(50.0, 45.0, 1.0, span=-1.0), "discount span"),
+    (lambda: ip.LognormalOptionInputs(50.0, 45.0, 0.04, span=-1.0), "discount span"),
+    (lambda: ip.LognormalOptionInputs(50.0, 45.0, -0.04, span=0.0), "integrated variance"),
+], ids=["normal-span", "lognormal-span", "lognormal-variance"])
+def test_negative_option_inputs_rejected(make, match):
+    with pytest.raises(DomainError, match=f"{match} must be non-negative"):
+        make()
+
+
 class TestLognormalForwardRepresentation:
     def test_unit_mean(self):
         cfg = ip.McConfig(n_paths=500_000, seed=17)

@@ -168,6 +168,17 @@ class TestDirectOracles:
         with pytest.raises(DomainError):
             ip.mc_option(inp, "straddle", ip.McConfig(n_paths=100, seed=0))
 
+    @pytest.mark.parametrize("estimate, match", [
+        (lambda m, cfg: ip.mc_forward(m, 270.0, 268.0, 0.0, cfg), r"t <= tau \+ epsilon"),
+        (lambda m, cfg: ip.mc_risk_premium(m, 0.0, 270.0, 268.0, 0.0, cfg), "t <= tau"),
+        (lambda m, cfg: ip.mc_option(object(), "call", cfg), "unsupported option inputs"),
+        (lambda m, cfg: ip.mc_martingale_check(m, [100.0, 270.0], 268.0, cfg),
+         r"must not pass tau \+ epsilon"),
+    ], ids=["forward", "risk-premium", "option", "martingale"])
+    def test_estimator_domain_errors(self, ref_model, estimate, match):
+        with pytest.raises(DomainError, match=match):
+            estimate(ref_model, ip.McConfig(n_paths=100, seed=0))
+
 
 class TestMartingaleChecks:
     def test_zero_vol_exact(self, zero_vol_model):

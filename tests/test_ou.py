@@ -91,6 +91,10 @@ class TestSimulate:
         with pytest.raises(DomainError):
             ip.simulate(ref_ou, [0.0, 2.0, 2.0], seed=0)  # must increase
 
+    def test_empty_grid_rejected(self, ref_ou):
+        with pytest.raises(DomainError, match="non-empty 1-d array"):
+            ip.simulate(ref_ou, [], seed=0)
+
     def test_negative_seed_rejected(self, ref_ou):
         with pytest.raises(DomainError, match="seed must be non-negative"):
             ip.simulate(ref_ou, np.arange(0.0, 5.0), seed=-1)
@@ -134,6 +138,16 @@ class TestMleFit:
     def test_needs_three_observations(self):
         with pytest.raises(EstimationError):
             ip.fit_mle(np.array([1.0, 0.5]), dt=1.0)
+
+    @pytest.mark.parametrize("sample, dt, error, match", [
+        ([1.0, 0.5, 0.2], 0.0, DomainError, "dt must be positive"),
+        ([1.0, 0.5, 0.2], -1.0, DomainError, "dt must be positive"),
+        ([1.0, np.nan, 0.2], 1.0, EstimationError, "non-finite"),
+        ([1.0, 0.5, np.inf], 1.0, EstimationError, "non-finite"),
+    ], ids=["dt-zero", "dt-negative", "nan", "inf"])
+    def test_bad_sample_or_step_rejected(self, sample, dt, error, match):
+        with pytest.raises(error, match=match):
+            ip.fit_mle(np.array(sample), dt=dt)
 
     def test_consistency_error_shrinks_with_sample(self, ref_ou):
         # mean absolute estimation error over 5 seeds at 10^4 vs 10^5 points

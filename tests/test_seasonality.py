@@ -66,6 +66,22 @@ class TestWeekdayClass:
             ip.Calendar(holidays=shared, bridge_days=shared)
 
 
+class TestModelWeights:
+    @pytest.mark.parametrize("dow, hod, match", [
+        (np.zeros(3), np.zeros(24), "one entry per weekday class"),
+        (np.zeros(4), np.zeros(23), "one entry per hour of day"),
+        ([0.0, 1.0, 0.0, 0.0], np.zeros(24), "Tue/Wed/Thu weekday coefficient"),
+        (np.zeros(4), [1.0] + [0.0] * 23, "hour-0 coefficient"),
+        ([0.5, 0.0, np.nan, 0.0], np.zeros(24), "must be finite"),
+        (np.zeros(4), [0.0, np.inf] + [0.0] * 22, "must be finite"),
+    ], ids=["dow-shape", "hod-shape", "dow-reference", "hod-reference", "dow-nan", "hod-inf"])
+    def test_bad_weights_rejected(self, dow, hod, match):
+        with pytest.raises(DomainError, match=match):
+            ip.SeasonalityModel(level=1.0, trend=0.0, sin_annual=0.0, cos_annual=0.0,
+                                dow_weights=dow, hod_weights=hod, calendar=ip.Calendar(),
+                                epoch=EPOCH)
+
+
 class TestDesignRow:
     def test_epoch_row(self):
         row = ip.design_row(0.0, EPOCH, make_calendar())
@@ -189,6 +205,11 @@ class TestFit:
         se = np.sqrt(np.diag(cov))
         gap = np.abs(fitted.coefficients() - model.coefficients())
         assert np.all(gap <= 3.0 * se)
+
+    @pytest.mark.parametrize("values", [np.ones(39), np.ones((40, 1))], ids=["length", "2-d"])
+    def test_mismatched_shapes_rejected(self, values):
+        with pytest.raises(DomainError, match="1-d arrays of equal length"):
+            ip.fit(np.arange(40.0), values, ip.Calendar(), EPOCH)
 
     def test_too_short_series_rejected(self):
         taus = np.arange(0.0, 10.0)

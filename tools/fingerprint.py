@@ -47,11 +47,14 @@ output directories.  The set:
 - ``implied-theta --params params.json`` and ``calibrate --gamma3
   gamma3.txt`` on a 400-day synthetic CSV cut to start on its 31st day, so
   that the seasonalities count their hours from another day than the data:
-  the ``EPOCH_RUNS``, which must exit 2.
+  the ``EPOCH_RUNS``, which must exit 2;
+- the ``WARNING_RUNS``, on a 9,504 h synthetic CSV (seed 1): ``calibrate``,
+  whose direct supply fit does not converge, and ``implied-theta`` on a copy
+  with January's prices blanked but for its last day, which skips January.
 
 Each ``*.out`` file holds one command's stdout and ends with its exit code;
-the ``fit_ou_bad_*`` and ``EPOCH_RUNS`` ones hold its stderr too, where the
-error goes.
+the ``fit_ou_bad_*``, ``EPOCH_RUNS`` and ``WARNING_RUNS`` ones hold its
+stderr too, where the error or warning goes.
 """
 
 from __future__ import annotations
@@ -105,6 +108,13 @@ with open("series_late.csv") as fh:
     lines = fh.readlines()
 with open("series_late.csv", "w") as fh:
     fh.writelines(lines[:1] + lines[1 + 30 * 24:])
+
+write_series(generate_synthetic(model, theta, 8760 + 31 * 24, 0.5, seed=1), "series_short.csv")
+with open("series_short.csv") as fh:
+    lines = fh.readlines()
+with open("series_gap.csv", "w") as fh:
+    fh.writelines(lines[:1] + [line.rsplit(",", 2)[0] + ",,\\n" for line in lines[1:1 + 30 * 24]]
+                  + lines[1 + 30 * 24:])
 """
 
 ORACLE_HEX_SCRIPT = """
@@ -222,6 +232,12 @@ EPOCH_RUNS = [
     ("calibrate_gamma3_late", ["calibrate", "--data", "series_late.csv", "--gamma3", "gamma3.txt",
                                "--out", "calibration_gamma3_late_report.txt"]),
 ]
+WARNING_RUNS = [
+    ("calibrate_short", ["calibrate", "--data", "series_short.csv",
+                         "--out", "calibration_short_report.txt"]),
+    ("implied_theta_gap", ["implied-theta", "--params", "params.json",
+                           "--data", "series_gap.csv", "--out", "implied_theta_gap.csv"]),
+]
 
 
 def run(out: Path, name: str, argv: list[str], env: dict, stderr: bool = False) -> None:
@@ -253,7 +269,7 @@ def main() -> int:
         run(out, f"fit_ou_bad_{name}", ["-m", "intrinsicprice", "fit-ou", "--data",
                                         f"bad_{name}.csv", "--out", f"ou_bad_{name}.txt"],
             env, stderr=True)
-    for name, argv in EPOCH_RUNS:
+    for name, argv in EPOCH_RUNS + WARNING_RUNS:
         run(out, name, ["-m", "intrinsicprice", *argv], env, stderr=True)
     for demo in DEMOS:
         run(out, f"demo_{demo.stem}", [str(demo)], env)
