@@ -3,16 +3,23 @@
 Terminal quantities are sampled with exact OU transitions so that any
 disagreement measures formula error, not discretisation error; fine Euler
 grids appear only in the pathwise representation check.  Every estimator
-that moves the state draws its exact walk through ``_run_walk_batches``,
-and the three martingale checks share one tower loop, ``_tower_checks``,
-each giving only its quote and closed form.  Estimates are produced in
+that moves the state draws its exact walk through ``_walk_job``, and the
+three martingale checks share one tower loop, ``_tower_checks``, each
+giving only its quote and closed form.  Estimates are produced in
 fixed-size batches, each drawing from an independent substream of the
 master seed, with a fixed reduction order, so a given seed is bitwise
-reproducible.  A batch is drawn in row blocks, one block
-ahead on one helper thread while the main thread values the block before
-(``_draw_ahead``).  The helper only draws, one block at a time and in
-order, so the normals are those of a whole-batch draw, and each batch is
-still reduced as one array: the estimates do not depend on the blocks.
+reproducible.
+
+The batch substreams of a seed do not depend on how many normals a path
+takes, and a draw fills row by row, so a job of ``k`` normals per path
+reads the first ``m k`` normals of each batch's stream.  Jobs of one
+``(seed, n_paths)`` stream therefore share one draw of it (``_run_jobs``):
+the stream is drawn as wide as the widest job, in chunks one chunk ahead
+on one helper thread while the main thread values the chunk before
+(``_draw_ahead``), and each job values its own rows of each chunk and sums
+its own whole-batch values, so its estimate is the one drawing alone
+gives, bit for bit.  An estimator is a ``_Plan`` of such jobs;
+``run_verification_suite`` runs the plans of all its estimators at once.
 
 A mutation mode (``McConfig.mutation_drift``) adds a constant drift to
 every simulated dynamic; agreement checks must demonstrably fail under
@@ -25,6 +32,8 @@ import math
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +49,9 @@ from .ou import OuParams, _step_law, _walk, transition
 from .seasonality import evaluate
 
 _BATCH = 1 << 18
-_BLOCK = 1 << 15       # rows of a batch drawn, one block ahead, and valued at a time
+_BLOCK = 1 << 15       # rows of a batch valued at a time
+_CHUNK = 3 << 17       # normals of a batch's stream drawn, one chunk ahead, at a time
+_STREAM_JOBS = 3       # jobs valued from one draw of a stream: bounds the batch values held
 _DENSITY_STEPS = 8     # grid intervals of the two density estimators
 
 
@@ -130,39 +141,64 @@ def _draw_ahead(draws):
             yield pending.result()
 
 
-def _run_batches(cfg: McConfig, n_normals: int, values_fn) -> McEstimate:
-    """Estimate the mean of ``values_fn(Z)`` over standard-normal draws
-    ``Z`` of shape (paths, n_normals).  A sum or sum of squares that is not
-    finite, as when path values are finite but their squares overflow, is
-    a ``NumericError``.
+def _run_jobs(cfg: McConfig, jobs) -> list[McEstimate]:
+    """For each job ``(n_normals, values_fn)``, estimate the mean of
+    ``values_fn(Z)`` over standard-normal draws ``Z`` of shape (paths,
+    n_normals), all jobs reading one draw of each batch's stream.  A sum or
+    sum of squares that is not finite, as when path values are finite but
+    their squares overflow, is a ``NumericError``.
 
-    Each batch of ``_BATCH`` paths draws from its own substream, in row
-    blocks of ``_BLOCK`` drawn one block ahead by ``_draw_ahead``.  A batch's
-    values are summed together, so the estimate is the one a whole-batch
-    draw gives, bit for bit."""
+    Each batch of ``_BATCH`` paths draws from its own substream, the one a
+    job drew on its own, and a draw of ``k`` columns is the first ``m k``
+    normals of that stream.  So the stream is drawn once, as wide as the
+    widest job, in chunks of whole rows of every job (at most ``_CHUNK``
+    normals and ``_BLOCK`` rows of the widest), one chunk ahead by
+    ``_draw_ahead``.  A job values its rows of a chunk, at most ``_BLOCK``
+    at a time and without writing to them, while its ``m k`` normals last;
+    its batch's values are summed together, so each estimate is the one a
+    whole-batch draw of its own gives, bit for bit."""
     n = cfg.n_paths
+    strides = [max(k, 1) for k, _ in jobs]     # a job of no columns takes its rows from one
+    wide = max(strides)
+    step = math.lcm(*strides)
+    chunk = max(step, min(_CHUNK, _BLOCK * wide) // step * step)
     sizes = [min(_BATCH, n - start) for start in range(0, n, _BATCH)]
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(cfg.seed).spawn(len(sizes))]
-    draws = (partial(rng.standard_normal, (min(_BLOCK, m - start), n_normals))
-             for rng, m in zip(rngs, sizes) for start in range(0, m, _BLOCK))
-    total = 0.0
-    total_sq = 0.0
-    with closing(_draw_ahead(draws)) as blocks:
+    draws = (partial(rng.standard_normal, min(chunk, m * wide - start))
+             for rng, m in zip(rngs, sizes) for start in range(0, m * wide, chunk))
+    totals = [0.0] * len(jobs)
+    totals_sq = [0.0] * len(jobs)
+    with closing(_draw_ahead(draws)) as chunks:
         for m in sizes:
-            units = np.empty(m)
-            for start in range(0, m, _BLOCK):
-                units[start:start + _BLOCK] = values_fn(next(blocks))
+            units = [np.empty(m) for _ in jobs]
+            for start in range(0, m * wide, chunk):
+                normals = next(chunks)
+                for (k, values_fn), stride, out in zip(jobs, strides, units):
+                    rows = normals[:max(m * stride - start, 0)].reshape(-1, stride)
+                    first = start // stride
+                    for r in range(0, len(rows), _BLOCK):
+                        block = rows[r:r + _BLOCK, :k]
+                        out[first + r:first + r + len(block)] = values_fn(block)
             with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
-                total += float(units.sum())
-                total_sq += float(units @ units)
-    if not (math.isfinite(total) and math.isfinite(total_sq)):
-        raise NumericError(f"Monte Carlo sums are not finite: sum {total!r}, "
-                           f"sum of squares {total_sq!r}")
+                for j, out in enumerate(units):
+                    totals[j] += float(out.sum())
+                    totals_sq[j] += float(out @ out)
 
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n)
+    estimates = []
+    for total, total_sq in zip(totals, totals_sq):
+        if not (math.isfinite(total) and math.isfinite(total_sq)):
+            raise NumericError(f"Monte Carlo sums are not finite: sum {total!r}, "
+                               f"sum of squares {total_sq!r}")
+        mean = total / n
+        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        estimates.append(McEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n))
+    return estimates
+
+
+def _run_batches(cfg: McConfig, n_normals: int, values_fn) -> McEstimate:
+    """``_run_jobs`` for one job."""
+    return _run_jobs(cfg, [(n_normals, values_fn)])[0]
 
 
 def _scale(est: McEstimate, factor: float, offset: float = 0.0) -> McEstimate:
@@ -170,14 +206,47 @@ def _scale(est: McEstimate, factor: float, offset: float = 0.0) -> McEstimate:
                       std_error=abs(factor) * est.std_error, n_paths=est.n_paths)
 
 
-def _run_walk_batches(ou: OuParams, x, steps, cfg: McConfig, payoff) -> McEstimate:
-    """Estimate the mean of ``payoff(states)``, ``states`` being the list of
-    states after each of the exact ``steps`` from ``x`` under the mutation
-    drift of ``cfg``; the shock of step ``k`` is its transition sd times
-    column ``k`` of the batch's standard normals."""
+@dataclass(frozen=True)
+class _Plan:
+    """An estimator as Monte Carlo jobs, each ``(cfg, n_normals, values_fn)``
+    for ``_run_jobs``, and ``finish``, which makes the estimator's result
+    from their estimates, in order."""
+
+    jobs: list
+    finish: Callable = itemgetter(0)
+
+
+def _run_plans(plans) -> list:
+    """The result of each plan.  The jobs of one stream, ``(seed, n_paths)``,
+    are valued from one draw in waves of at most ``_STREAM_JOBS``, widest
+    first, so no prefix of a stream is drawn twice; each estimate is still
+    the one its job gives alone."""
+    streams: dict = {}
+    for i, plan in enumerate(plans):
+        for j, (cfg, k, values_fn) in enumerate(plan.jobs):
+            streams.setdefault((cfg.seed, cfg.n_paths), []).append((k, values_fn, cfg, (i, j)))
+    estimates = [[None] * len(plan.jobs) for plan in plans]
+    for jobs in streams.values():
+        jobs.sort(key=lambda job: -job[0])
+        for w in range(0, len(jobs), _STREAM_JOBS):
+            wave = jobs[w:w + _STREAM_JOBS]
+            for (_, _, _, (i, j)), est in zip(wave, _run_jobs(wave[0][2], [job[:2] for job in wave])):
+                estimates[i][j] = est
+    return [plan.finish(ests) for plan, ests in zip(plans, estimates)]
+
+
+def _solo(plan: _Plan):
+    return _run_plans([plan])[0]
+
+
+def _walk_job(ou: OuParams, x, steps, cfg: McConfig, payoff):
+    """The job estimating the mean of ``payoff(states)``, ``states`` being the
+    list of states after each of the exact ``steps`` from ``x`` under the
+    mutation drift of ``cfg``; the shock of step ``k`` is its transition sd
+    times column ``k`` of the batch's standard normals."""
     sds = _step_law(ou, steps)[2].tolist()
-    return _run_batches(cfg, len(sds), lambda z: payoff(_walk(
-        ou, x, steps, (sd * z[:, k] for k, sd in enumerate(sds)), cfg.mutation_drift)))
+    return cfg, len(sds), lambda z: payoff(_walk(
+        ou, x, steps, (sd * z[:, k] for k, sd in enumerate(sds)), cfg.mutation_drift))
 
 
 def _w_integral_law(ou: OuParams, h: float) -> tuple[float, float, float]:
@@ -207,37 +276,45 @@ def _w_walk(ou: OuParams, x, h: float, z_w, z_i, drift: float = 0.0):
 # direct price estimators
 # ---------------------------------------------------------------------------
 
-def mc_forward(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -> McEstimate:
-    """Estimate the conditional expectation of the settlement price by
-    drawing the ex-post driver state in a single exact transition."""
+def _forward_plan(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -> _Plan:
     horizon = tau + model.conv.epsilon - t
     if horizon < 0:
         raise DomainError("mc_forward requires t <= tau + epsilon")
     g_tau_e = evaluate(model.load_seasonality, tau + model.conv.epsilon)
-    return _run_walk_batches(model.ou, x_t, [horizon], cfg,
-                             lambda states: intrinsic_price(model, g_tau_e + states[0], tau))
+    return _Plan([_walk_job(model.ou, x_t, [horizon], cfg,
+                            lambda states: intrinsic_price(model, g_tau_e + states[0], tau))])
+
+
+def mc_forward(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -> McEstimate:
+    """Estimate the conditional expectation of the settlement price by
+    drawing the ex-post driver state in a single exact transition."""
+    return _solo(_forward_plan(model, t, tau, x_t, cfg))
+
+
+def _discount(model: ModelQ, t: float, tau: float) -> float:
+    return math.exp(-model.conv.hourly_rate * (tau + model.conv.epsilon - t))
 
 
 def mc_tradable(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -> McEstimate:
-    df = math.exp(-model.conv.hourly_rate * (tau + model.conv.epsilon - t))
-    return _scale(mc_forward(model, t, tau, x_t, cfg), df)
+    return _scale(mc_forward(model, t, tau, x_t, cfg), _discount(model, t, tau))
+
+
+def _day_ahead_tower_plan(model: ModelQ, tau: float, x_at_fix: float, cfg: McConfig) -> _Plan:
+    conv = model.conv
+    closed = math.exp(conv.hourly_rate * conv.delta) * day_ahead_price(model, tau, x_at_fix)
+    return _Plan([_walk_job(model.ou, x_at_fix, [conv.delta], cfg,
+                            lambda states: intraday_price(model, tau, states[0]))],
+                 lambda ests: OracleCheck("day-ahead tower identity", closed, ests[0]))
 
 
 def mc_day_ahead_tower(model: ModelQ, tau: float, x_at_fix: float, cfg: McConfig) -> OracleCheck:
     """Average at-delivery quote from the fixing state against
     ``e^{r delta} S(tau)``."""
-    conv = model.conv
-    estimate = _run_walk_batches(model.ou, x_at_fix, [conv.delta], cfg,
-                                 lambda states: intraday_price(model, tau, states[0]))
-    closed = math.exp(conv.hourly_rate * conv.delta) * day_ahead_price(model, tau, x_at_fix)
-    return OracleCheck("day-ahead tower identity", closed, estimate)
+    return _solo(_day_ahead_tower_plan(model, tau, x_at_fix, cfg))
 
 
-def mc_futures(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
-               cfg: McConfig) -> McEstimate:
-    """Average the discounted settlement payoff of the delivery strip;
-    only valid before the first fixing, where the closed form needs a
-    single state."""
+def _futures_plan(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
+                  cfg: McConfig) -> _Plan:
     conv = model.conv
     taus = deliveries.taus
     if t > taus[0] - conv.delta:
@@ -245,13 +322,59 @@ def mc_futures(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
     steps = np.diff(taus + conv.epsilon, prepend=t)
     g_vals = evaluate(model.load_seasonality, taus + conv.epsilon)
     weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / taus.size
-    return _run_walk_batches(model.ou, x_t, steps, cfg, lambda states: weight * sum(
-        intrinsic_price(model, g + x, tau) for g, x, tau in zip(g_vals, states, taus)))
+    return _Plan([_walk_job(model.ou, x_t, steps, cfg, lambda states: weight * sum(
+        intrinsic_price(model, g + x, tau) for g, x, tau in zip(g_vals, states, taus)))])
+
+
+def mc_futures(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
+               cfg: McConfig) -> McEstimate:
+    """Average the discounted settlement payoff of the delivery strip;
+    only valid before the first fixing, where the closed form needs a
+    single state."""
+    return _solo(_futures_plan(model, t, deliveries, x_t, cfg))
 
 
 # ---------------------------------------------------------------------------
 # risk premium estimators
 # ---------------------------------------------------------------------------
+
+def _risk_premium_plan(model: ModelQ, theta: float, t: float, tau: float,
+                       x_tilde_t: float, cfg: McConfig) -> _Plan:
+    if t > tau:
+        raise DomainError("mc_risk_premium requires t <= tau")
+    ou = model.ou
+    span = tau - t
+    f_t = forward_price(model, t, tau, to_risk_neutral_state(x_tilde_t, ou, theta, t))
+
+    # (a) direct: real-world transition of the centred deviation, exact shift at tau
+    tau_shift = to_risk_neutral_state(0.0, ou, theta, tau, mode="exact")
+    direct_job = _walk_job(ou, x_tilde_t, [span], cfg,
+                           lambda states: intraday_price(model, tau, states[0] + tau_shift))
+
+    # (b) density-weighted: pricing-measure sampling of (W increment, OU integral)
+    density_drift = ou.lam * theta
+    x_q = to_risk_neutral_state(x_tilde_t, ou, theta, t, mode="exact")
+
+    def values_weighted(z):
+        dw, (x_tau,) = _w_walk(ou, x_q, span, z[:, :1], z[:, 1:], cfg.mutation_drift)
+        return _terminal_density(density_drift, dw, span) * intraday_price(model, tau, x_tau)
+
+    closed = risk_premium(model, theta, t, tau, x_tilde_t)
+
+    def finish(ests):
+        direct, weighted = (_scale(est, -1.0, offset=f_t) for est in ests)
+        joint = McEstimate(mean=weighted.mean,
+                           std_error=math.hypot(direct.std_error, weighted.std_error),
+                           n_paths=weighted.n_paths)
+        return [
+            OracleCheck("risk premium (direct real-world MC)", closed, direct),
+            OracleCheck("risk premium (density-weighted MC)", closed, weighted),
+            OracleCheck("risk premium estimator cross-check", direct.mean, joint,
+                        informational=True),
+        ]
+
+    return _Plan([direct_job, (replace(cfg, seed=cfg.seed + 1), 2, values_weighted)], finish)
+
 
 def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
                     x_tilde_t: float, cfg: McConfig) -> list[OracleCheck]:
@@ -264,52 +387,14 @@ def mc_risk_premium(model: ModelQ, theta: float, t: float, tau: float,
     process.  The cross-check is recorded, not counted: an error in one
     estimator already fails its own check, and one common to both (as the
     mutation drift is) moves both alike."""
-    if t > tau:
-        raise DomainError("mc_risk_premium requires t <= tau")
-    ou = model.ou
-    span = tau - t
-    f_t = forward_price(model, t, tau, to_risk_neutral_state(x_tilde_t, ou, theta, t))
-
-    # (a) direct: real-world transition of the centred deviation, exact shift at tau
-    tau_shift = to_risk_neutral_state(0.0, ou, theta, tau, mode="exact")
-    est_a = _run_walk_batches(ou, x_tilde_t, [span], cfg,
-                              lambda states: intraday_price(model, tau, states[0] + tau_shift))
-
-    # (b) density-weighted: pricing-measure sampling of (W increment, OU integral)
-    density_drift = ou.lam * theta
-    x_q = to_risk_neutral_state(x_tilde_t, ou, theta, t, mode="exact")
-
-    def values_weighted(z):
-        dw, (x_tau,) = _w_walk(ou, x_q, span, z[:, :1], z[:, 1:], cfg.mutation_drift)
-        return _terminal_density(density_drift, dw, span) * intraday_price(model, tau, x_tau)
-
-    weighted_cfg = replace(cfg, seed=cfg.seed + 1)
-    est_b = _run_batches(weighted_cfg, 2, values_weighted)
-
-    closed = risk_premium(model, theta, t, tau, x_tilde_t)
-    direct = _scale(est_a, -1.0, offset=f_t)
-    weighted = _scale(est_b, -1.0, offset=f_t)
-    joint = McEstimate(mean=weighted.mean,
-                       std_error=math.hypot(direct.std_error, weighted.std_error),
-                       n_paths=weighted.n_paths)
-    return [
-        OracleCheck("risk premium (direct real-world MC)", closed, direct),
-        OracleCheck("risk premium (density-weighted MC)", closed, weighted),
-        OracleCheck("risk premium estimator cross-check", direct.mean, joint,
-                    informational=True),
-    ]
+    return _solo(_risk_premium_plan(model, theta, t, tau, x_tilde_t, cfg))
 
 
 # ---------------------------------------------------------------------------
 # option estimators
 # ---------------------------------------------------------------------------
 
-def mc_option(inputs, payoff: str, cfg: McConfig) -> McEstimate:
-    """Average discounted payoff for the normal or lognormal futures law.
-
-    Mutation shifts the location by ``mutation_drift * span`` (additively
-    for the normal family, in the log for the lognormal one).
-    """
+def _option_plan(inputs, payoff: str, cfg: McConfig) -> _Plan:
     if payoff not in ("call", "put"):
         raise DomainError(f"payoff must be 'call' or 'put', got {payoff!r}")
     if not isinstance(inputs, (NormalOptionInputs, LognormalOptionInputs)):
@@ -329,27 +414,38 @@ def mc_option(inputs, payoff: str, cfg: McConfig) -> McEstimate:
             f_end = inputs.forward * np.exp(-0.5 * inputs.var_integral + root_v * z[:, 0] + bump)
             return df * np.maximum(sign * (f_end - inputs.strike), 0.0)
 
-    return _run_batches(cfg, 1, values)
+    return _Plan([(cfg, 1, values)])
 
 
-def mc_lognormal_forward(f0: float, var_integral: float, cfg: McConfig) -> McEstimate:
-    """Mean of the lognormal forward representation (must reproduce ``f0``)."""
+def mc_option(inputs, payoff: str, cfg: McConfig) -> McEstimate:
+    """Average discounted payoff for the normal or lognormal futures law.
+
+    Mutation shifts the location by ``mutation_drift * span`` (additively
+    for the normal family, in the log for the lognormal one).
+    """
+    return _solo(_option_plan(inputs, payoff, cfg))
+
+
+def _lognormal_forward_plan(f0: float, var_integral: float, cfg: McConfig) -> _Plan:
     root_v = math.sqrt(var_integral)
 
     def values(z):
         return f0 * np.exp(-0.5 * var_integral + root_v * z[:, 0])
 
-    return _run_batches(cfg, 1, values)
+    return _Plan([(cfg, 1, values)])
+
+
+def mc_lognormal_forward(f0: float, var_integral: float, cfg: McConfig) -> McEstimate:
+    """Mean of the lognormal forward representation (must reproduce ``f0``)."""
+    return _solo(_lognormal_forward_plan(f0, var_integral, cfg))
 
 
 # ---------------------------------------------------------------------------
 # density / measure-change checks
 # ---------------------------------------------------------------------------
 
-def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float,
-                         cfg: McConfig) -> OracleCheck:
-    """The density process has unit expectation at the horizon.  Mutation
-    adds ``mutation_drift * h`` to each Brownian increment over a step ``h``."""
+def _density_unit_mean_plan(ou: OuParams, theta: float, horizon: float,
+                            cfg: McConfig) -> _Plan:
     h = horizon / _DENSITY_STEPS
     sqrt_h = math.sqrt(h)
     density_drift = ou.lam * theta
@@ -357,15 +453,19 @@ def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float,
     def values(z):
         return _terminal_density(density_drift, sqrt_h * z + cfg.mutation_drift * h, horizon)
 
-    return OracleCheck("density process unit mean", 1.0,
-                       _run_batches(cfg, _DENSITY_STEPS, values))
+    return _Plan([(cfg, _DENSITY_STEPS, values)],
+                 lambda ests: OracleCheck("density process unit mean", 1.0, ests[0]))
 
 
-def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float,
-                        cfg: McConfig) -> list[OracleCheck]:
-    """Weighting pricing-measure samples by the density must reproduce the
-    real-world mean and variance of the centred deviation.  Mutation adds
-    ``mutation_drift`` to the drift of the simulated deviation."""
+def mc_density_unit_mean(ou: OuParams, theta: float, horizon: float,
+                         cfg: McConfig) -> OracleCheck:
+    """The density process has unit expectation at the horizon.  Mutation
+    adds ``mutation_drift * h`` to each Brownian increment over a step ``h``."""
+    return _solo(_density_unit_mean_plan(ou, theta, horizon, cfg))
+
+
+def _girsanov_moments_plan(ou: OuParams, theta: float, horizon: float,
+                           cfg: McConfig) -> _Plan:
     h = horizon / _DENSITY_STEPS
     density_drift = ou.lam * theta
     mean_p, var_p = transition(ou, ou.x0, horizon)
@@ -384,13 +484,22 @@ def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float,
         x, nu = terminal(z)
         return nu * x * x
 
-    first = _run_batches(cfg, 2 * _DENSITY_STEPS, values_mean)
-    second = _run_batches(replace(cfg, seed=cfg.seed + 1), 2 * _DENSITY_STEPS, values_second)
-    return [
-        OracleCheck("density-weighted mean of real-world deviation", mean_p, first),
-        OracleCheck("density-weighted second moment of real-world deviation",
-                    var_p + mean_p**2, second),
-    ]
+    return _Plan([(cfg, 2 * _DENSITY_STEPS, values_mean),
+                  (replace(cfg, seed=cfg.seed + 1), 2 * _DENSITY_STEPS, values_second)],
+                 lambda ests: [
+                     OracleCheck("density-weighted mean of real-world deviation",
+                                 mean_p, ests[0]),
+                     OracleCheck("density-weighted second moment of real-world deviation",
+                                 var_p + mean_p**2, ests[1]),
+                 ])
+
+
+def mc_girsanov_moments(ou: OuParams, theta: float, horizon: float,
+                        cfg: McConfig) -> list[OracleCheck]:
+    """Weighting pricing-measure samples by the density must reproduce the
+    real-world mean and variance of the centred deviation.  Mutation adds
+    ``mutation_drift`` to the drift of the simulated deviation."""
+    return _solo(_girsanov_moments_plan(ou, theta, horizon, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +527,9 @@ def _tower_checks(model: ModelQ, label: str, t_list, x_start, cfg: McConfig,
     checks = []
     for t, u in zip(t_list, t_list[1:]):
         ahead = [s for s in needs(u) if s > t]
-        estimate = _run_walk_batches(model.ou, backbone[t], np.diff([t] + ahead), cfg,
-                                     lambda drawn: quote(u, {**backbone,
-                                                             **dict(zip(ahead, drawn))}))
+        estimate = _run_batches(*_walk_job(model.ou, backbone[t], np.diff([t] + ahead), cfg,
+                                           lambda drawn: quote(u, {**backbone,
+                                                                   **dict(zip(ahead, drawn))})))
         checks.append(OracleCheck(f"{label} martingale {t:g}h -> {u:g}h",
                                   closed(t, backbone), estimate))
     return checks
@@ -526,63 +635,67 @@ def run_verification_suite(model: ModelQ, theta: float, cfg: McConfig,
     """Closed-form/oracle agreement for every priced quantity, the
     martingale suite, the measure-change identities, and the lognormal
     ``d_pm`` adjudication.  Nested (martingale) checks run at
-    ``nested_paths`` paths; everything else at ``cfg.n_paths``."""
+    ``nested_paths`` paths; everything else at ``cfg.n_paths``, each
+    estimate equal to that of its ``mc_*`` estimator, but valued by
+    ``_run_plans`` so that the estimators of one stream share its draws."""
     conv = model.conv
     ou = model.ou
     tau = 90.0 * conv.delta             # delivery ~3 months into the series
     x_ref = math.sqrt(ou.stationary_variance)
     nested_cfg = replace(cfg, n_paths=min(cfg.n_paths, nested_paths))
-
-    checks: list[OracleCheck] = []
-
     t = tau - 168.0
-    checks.append(OracleCheck("forward price", forward_price(model, t, tau, x_ref),
-                              mc_forward(model, t, tau, x_ref, cfg)))
-    checks.append(OracleCheck("tradable price", tradable_price(model, t, tau, x_ref),
-                              mc_tradable(model, t, tau, x_ref, cfg)))
-    checks.append(OracleCheck("intraday price (one-period expectation)",
-                              intraday_price(model, tau, x_ref),
-                              mc_tradable(model, tau, tau, x_ref, cfg)))
-    checks.append(OracleCheck("day-ahead price (one-day expectation)",
-                              day_ahead_price(model, tau, x_ref),
-                              mc_tradable(model, tau - conv.delta, tau, x_ref, cfg)))
-    checks.append(mc_day_ahead_tower(model, tau, x_ref, cfg))
-
     strip = DeliverySet.from_hours([tau + k for k in range(24)])
     t_fut = tau - conv.delta - 48.0
-    checks.append(OracleCheck(
-        "futures price (24h strip)",
-        futures_price(model, t_fut, strip, {t_fut: x_ref}),
-        mc_futures(model, t_fut, strip, x_ref, cfg)))
-
-    checks.extend(mc_risk_premium(model, theta, tau - 168.0, tau, x_ref, cfg))
-
-    checks.append(mc_density_unit_mean(ou, theta, 168.0, cfg))
-    checks.extend(mc_girsanov_moments(ou, theta, 96.0, cfg))
-
     f_ref = forward_price(model, t, tau, x_ref)
     normal_inp = NormalOptionInputs(forward=f_ref, strike=0.95 * f_ref, sigma_ut=0.1 * f_ref,
                                     span=24.0, rate=conv.hourly_rate)
-    checks.append(OracleCheck("normal option call", bachelier_call(normal_inp),
-                              mc_option(normal_inp, "call", cfg)))
-    checks.append(OracleCheck("normal option put", bachelier_put(normal_inp),
-                              mc_option(normal_inp, "put", cfg)))
     logn_inp = LognormalOptionInputs(forward=f_ref, strike=0.95 * f_ref, var_integral=0.04,
                                      span=24.0, rate=conv.hourly_rate)
-    lover = mc_option(logn_inp, "call", cfg)
-    checks.append(OracleCheck("lognormal option call (conventional d_pm)",
-                              black76_call(logn_inp, conventional=True), lover))
-    checks.append(OracleCheck("lognormal option call (verbatim d_pm)",
-                              black76_call(logn_inp, conventional=False), lover,
-                              informational=True))
-    checks.append(OracleCheck("lognormal option put (conventional d_pm)",
-                              black76_put(logn_inp, conventional=True),
-                              mc_option(logn_inp, "put", cfg)))
-    # recorded, not counted: the counted lognormal option checks draw the same
-    # law and carry the mutation, which this estimator has no span to scale by
-    checks.append(OracleCheck("lognormal forward unit drift",
-                              f_ref, mc_lognormal_forward(f_ref, 0.04, cfg),
-                              informational=True))
+
+    (forward, intraday, day_ahead, tower, futures, premium, density, girsanov,
+     normal_call, normal_put, logn_call, logn_put, logn_forward) = _run_plans([
+        _forward_plan(model, t, tau, x_ref, cfg),
+        _forward_plan(model, tau, tau, x_ref, cfg),
+        _forward_plan(model, tau - conv.delta, tau, x_ref, cfg),
+        _day_ahead_tower_plan(model, tau, x_ref, cfg),
+        _futures_plan(model, t_fut, strip, x_ref, cfg),
+        _risk_premium_plan(model, theta, tau - 168.0, tau, x_ref, cfg),
+        _density_unit_mean_plan(ou, theta, 168.0, cfg),
+        _girsanov_moments_plan(ou, theta, 96.0, cfg),
+        _option_plan(normal_inp, "call", cfg),
+        _option_plan(normal_inp, "put", cfg),
+        _option_plan(logn_inp, "call", cfg),
+        _option_plan(logn_inp, "put", cfg),
+        _lognormal_forward_plan(f_ref, 0.04, cfg),
+    ])
+
+    checks = [
+        OracleCheck("forward price", f_ref, forward),
+        # the tradable price is the discounted forward: mc_tradable scales mc_forward
+        OracleCheck("tradable price", tradable_price(model, t, tau, x_ref),
+                    _scale(forward, _discount(model, t, tau))),
+        OracleCheck("intraday price (one-period expectation)", intraday_price(model, tau, x_ref),
+                    _scale(intraday, _discount(model, tau, tau))),
+        OracleCheck("day-ahead price (one-day expectation)", day_ahead_price(model, tau, x_ref),
+                    _scale(day_ahead, _discount(model, tau - conv.delta, tau))),
+        tower,
+        OracleCheck("futures price (24h strip)",
+                    futures_price(model, t_fut, strip, {t_fut: x_ref}), futures),
+        *premium,
+        density,
+        *girsanov,
+        OracleCheck("normal option call", bachelier_call(normal_inp), normal_call),
+        OracleCheck("normal option put", bachelier_put(normal_inp), normal_put),
+        OracleCheck("lognormal option call (conventional d_pm)",
+                    black76_call(logn_inp, conventional=True), logn_call),
+        OracleCheck("lognormal option call (verbatim d_pm)",
+                    black76_call(logn_inp, conventional=False), logn_call, informational=True),
+        OracleCheck("lognormal option put (conventional d_pm)",
+                    black76_put(logn_inp, conventional=True), logn_put),
+        # recorded, not counted: the counted lognormal option checks draw the same
+        # law and carry the mutation, which this estimator has no span to scale by
+        OracleCheck("lognormal forward unit drift", f_ref, logn_forward, informational=True),
+    ]
 
     checks.extend(mc_martingale_check(model, [tau - 336.0, tau - 168.0, tau - 24.0],
                                       tau, nested_cfg, x_start=x_ref))

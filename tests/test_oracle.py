@@ -8,7 +8,7 @@ import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, cli
-from intrinsicprice.oracle import _BATCH, _run_batches, _w_walk
+from intrinsicprice.oracle import _BATCH, _run_batches, _run_jobs, _w_walk
 from intrinsicprice.ou import _step_law, _walk
 
 
@@ -57,29 +57,54 @@ class TestEngine:
         assert ip.McConfig(seed=0).seed == 0
 
 
+def whole_batch_estimate(n_paths, seed, n_normals, values):
+    """The estimate of drawing each batch of the seed's substreams whole."""
+    total = total_sq = 0.0
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n_paths // _BATCH))):
+        z = np.random.default_rng(child).standard_normal(
+            (min(_BATCH, n_paths - k * _BATCH), n_normals))
+        units = values(z)
+        total += float(units.sum())
+        total_sq += float(units @ units)
+    mean = total / n_paths
+    var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
+    return ip.McEstimate(mean=mean, std_error=math.sqrt(var / n_paths), n_paths=n_paths)
+
+
 class TestBlockedDraws:
-    """The oracle draws each batch in row blocks, one block ahead on a helper
-    thread; its estimates equal, bit for bit, those of drawing each batch
-    whole, as the references below do."""
+    """The oracle draws each batch's substream once for all the jobs that
+    share it, in chunks one chunk ahead on a helper thread.  A job of ``k``
+    columns reads the first ``m k`` normals of batch ``b``'s stream, which
+    are those a ``(m, k)`` draw of that stream gives, since the batch
+    substreams do not depend on the width and ``standard_normal`` fills row
+    by row.  So every estimate equals, bit for bit, that of drawing each
+    batch whole for that job alone, as the references below do."""
 
     @staticmethod
     def values(z):
         return np.exp(0.3 * z[:, 0]) * z[:, 1] + z[:, 2] ** 2
 
+    @staticmethod
+    def values_of_width(k):
+        # row by row, as every estimator is; the first, middle and last columns
+        return lambda z: z[:, 0] * np.exp(0.1 * z[:, k - 1]) + (k + z[:, k // 2]) ** 2
+
     @pytest.mark.parametrize("n_paths", [2, 5000, 32768, 300_000, 2**19 + 1])
     def test_run_batches_matches_whole_batch_draws(self, n_paths):
-        cfg = ip.McConfig(n_paths=n_paths, seed=4)
-        total = total_sq = 0.0
-        for k, child in enumerate(np.random.SeedSequence(4).spawn(-(-n_paths // _BATCH))):
-            z = np.random.default_rng(child).standard_normal(
-                (min(_BATCH, n_paths - k * _BATCH), 3))
-            units = self.values(z)
-            total += float(units.sum())
-            total_sq += float(units @ units)
-        mean = total / n_paths
-        var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
-        est = _run_batches(cfg, 3, self.values)
-        assert est.mean == mean and est.std_error == math.sqrt(var / n_paths)
+        est = _run_batches(ip.McConfig(n_paths=n_paths, seed=4), 3, self.values)
+        assert est == whole_batch_estimate(n_paths, 4, 3, self.values)
+
+    @pytest.mark.parametrize("n_paths", [2, 5000, 300_000, 2**19 + 1])
+    def test_shared_draws_match_each_job_alone(self, n_paths):
+        rng = np.random.default_rng(n_paths)
+        for _ in range(2):
+            widths = rng.choice([1, 2, 3, 8, 16, 24], size=rng.integers(1, 5)).tolist()
+            seed = int(rng.integers(100))
+            jobs = [(k, self.values_of_width(k)) for k in widths]
+            estimates = _run_jobs(ip.McConfig(n_paths=n_paths, seed=seed), jobs)
+            for (k, values), est in zip(jobs, estimates):
+                assert est == _run_batches(ip.McConfig(n_paths=n_paths, seed=seed), k, values)
+                assert est == whole_batch_estimate(n_paths, seed, k, values), widths
 
     def test_euler_representation_matches_whole_batch_draws(self, ref_model):
         tau, t0, h, n_fine, n_paths, x0 = 268.0, 100.0, 0.05, 8, 70_000, 0.5
@@ -118,6 +143,29 @@ class TestBlockedDraws:
         assert excinfo.value is error
         assert seen == [threads_before + 1] * 3   # exactly one helper thread
         assert threading.active_count() == threads_before
+
+    def test_error_in_one_of_shared_jobs_propagates_and_joins_the_thread(self):
+        threads_before = threading.active_count()
+        error = ip.NumericError("raised by the narrow job's third block")
+        seen = []
+
+        def narrow(z):
+            seen.append(threading.active_count())
+            if len(seen) == 3:
+                raise error
+            return z[:, 0]
+
+        jobs = [(8, self.values_of_width(8)), (1, narrow), (16, self.values_of_width(16))]
+        with pytest.raises(ip.NumericError) as excinfo:
+            _run_jobs(ip.McConfig(n_paths=300_000, seed=0), jobs)
+        assert excinfo.value is error
+        assert seen == [threads_before + 1] * 3   # exactly one helper thread
+        assert threading.active_count() == threads_before
+
+    def test_a_job_of_no_columns_gets_its_rows(self):
+        jobs = [(0, lambda z: np.full(len(z), 2.0 + z.shape[1])), (3, self.values)]
+        constant, _ = _run_jobs(ip.McConfig(n_paths=300_000, seed=0), jobs)
+        assert constant == ip.McEstimate(mean=2.0, std_error=0.0, n_paths=300_000)
 
 
 class TestDirectOracles:
@@ -426,6 +474,66 @@ class TestTailDrawOverflow:
 
 
 class TestSuite:
+    def test_equals_the_public_estimators_check_by_check(self, ref_model, ref_theta):
+        # the suite's own schedule, spelled out with the public estimators,
+        # one stream draw per estimate; 270,000 paths end on a ragged batch
+        model, theta = ref_model, ref_theta
+        for cfg in (ip.McConfig(n_paths=270_000, seed=6),
+                    ip.McConfig(n_paths=270_000, seed=6, mutation_drift=0.01)):
+            conv, ou = model.conv, model.ou
+            tau = 90.0 * conv.delta
+            x, t = math.sqrt(ou.stationary_variance), tau - 168.0
+            strip = ip.DeliverySet.from_hours([tau + k for k in range(24)])
+            t_fut = tau - conv.delta - 48.0
+            f_ref = ip.forward_price(model, t, tau, x)
+            normal = ip.NormalOptionInputs(forward=f_ref, strike=0.95 * f_ref,
+                                           sigma_ut=0.1 * f_ref, span=24.0, rate=conv.hourly_rate)
+            logn = ip.LognormalOptionInputs(forward=f_ref, strike=0.95 * f_ref, var_integral=0.04,
+                                            span=24.0, rate=conv.hourly_rate)
+            nested = dataclasses.replace(cfg, n_paths=2_000)
+            expected = [
+                ip.mc_forward(model, t, tau, x, cfg), ip.mc_tradable(model, t, tau, x, cfg),
+                ip.mc_tradable(model, tau, tau, x, cfg),
+                ip.mc_tradable(model, tau - conv.delta, tau, x, cfg),
+                ip.mc_day_ahead_tower(model, tau, x, cfg).estimate,
+                ip.mc_futures(model, t_fut, strip, x, cfg),
+                *(c.estimate for c in ip.mc_risk_premium(model, theta, t, tau, x, cfg)),
+                ip.mc_density_unit_mean(ou, theta, 168.0, cfg).estimate,
+                *(c.estimate for c in ip.mc_girsanov_moments(ou, theta, 96.0, cfg)),
+                ip.mc_option(normal, "call", cfg), ip.mc_option(normal, "put", cfg),
+                ip.mc_option(logn, "call", cfg), ip.mc_option(logn, "call", cfg),
+                ip.mc_option(logn, "put", cfg), ip.mc_lognormal_forward(f_ref, 0.04, cfg),
+                *(c.estimate for c in ip.mc_martingale_check(
+                    model, [tau - 336.0, tau - 168.0, tau - 24.0], tau, nested, x_start=x)),
+                *(c.estimate for c in ip.mc_martingale_check(
+                    model, [tau - 336.0, tau - 168.0], tau, nested, x_start=x, discounted=True)),
+                *(c.estimate for c in ip.mc_futures_martingale(
+                    model, [t_fut - 96.0, t_fut, float(strip.taus[6]) - conv.delta + 0.5], strip,
+                    nested, x_start=x)),
+            ]
+            checks = ip.run_verification_suite(model, theta, cfg, nested_paths=2_000)
+            assert [c.estimate for c in checks] == expected
+
+    def test_each_stream_prefix_is_drawn_once(self, ref_model, ref_theta, monkeypatch):
+        # estimators of one (seed, paths) stream share its draws, in waves of
+        # at most three, widest first: [24, 16, 8] and four waves of one
+        # column at the seed, [16, 2] at seed + 1, then the nested checks;
+        # 45.2M normals at a million paths, where each estimator drawing
+        # alone takes 78.2M
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, *args):
+                self.rng = default_rng(*args)
+
+            def standard_normal(self, size):
+                drawn.append(math.prod(np.atleast_1d(size)))
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        ip.run_verification_suite(ref_model, ref_theta, ip.McConfig(n_paths=1_000_000, seed=1))
+        assert sum(drawn) <= 46_000_000
     def test_everything_passes_and_report_formats(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=120_000, seed=23)
         checks = ip.run_verification_suite(ref_model, ref_theta, cfg, nested_paths=40_000)
