@@ -144,7 +144,9 @@ def _draw_ahead(draws):
 def _run_jobs(cfg: McConfig, jobs) -> list[McEstimate]:
     """For each job ``(n_normals, values_fn)``, estimate the mean of
     ``values_fn(Z)`` over standard-normal draws ``Z`` of shape (paths,
-    n_normals), all jobs reading one draw of each batch's stream.  A sum or
+    n_normals), all jobs reading one draw of each batch's stream.  The
+    variance sums the squared deviations from a shift, the job's first
+    value, so equal values have a standard error of exactly 0.  A sum or
     sum of squares that is not finite, as when path values are finite but
     their squares overflow, is a ``NumericError``.
 
@@ -168,7 +170,8 @@ def _run_jobs(cfg: McConfig, jobs) -> list[McEstimate]:
     draws = (partial(rng.standard_normal, min(chunk, m * wide - start))
              for rng, m in zip(rngs, sizes) for start in range(0, m * wide, chunk))
     totals = [0.0] * len(jobs)
-    totals_sq = [0.0] * len(jobs)
+    totals_sq = [0.0] * len(jobs)     # of the deviations from ``shifts``
+    shifts = []
     with closing(_draw_ahead(draws)) as chunks:
         for m in sizes:
             units = [np.empty(m) for _ in jobs]
@@ -180,18 +183,20 @@ def _run_jobs(cfg: McConfig, jobs) -> list[McEstimate]:
                     for r in range(0, len(rows), _BLOCK):
                         block = rows[r:r + _BLOCK, :k]
                         out[first + r:first + r + len(block)] = values_fn(block)
+            shifts = shifts or [float(out[0]) for out in units]
             with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
                 for j, out in enumerate(units):
                     totals[j] += float(out.sum())
+                    out -= shifts[j]
                     totals_sq[j] += float(out @ out)
 
     estimates = []
-    for total, total_sq in zip(totals, totals_sq):
+    for total, total_sq, shift in zip(totals, totals_sq, shifts):
         if not (math.isfinite(total) and math.isfinite(total_sq)):
             raise NumericError(f"Monte Carlo sums are not finite: sum {total!r}, "
                                f"sum of squares {total_sq!r}")
         mean = total / n
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        var = max(total_sq - n * (mean - shift) ** 2, 0.0) / (n - 1)
         estimates.append(McEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n))
     return estimates
 

@@ -58,17 +58,47 @@ class TestEngine:
 
 
 def whole_batch_estimate(n_paths, seed, n_normals, values):
-    """The estimate of drawing each batch of the seed's substreams whole."""
+    """The estimate of drawing each batch of the seed's substreams whole;
+    the variance from the squared deviations from the first value."""
     total = total_sq = 0.0
+    shift = None
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n_paths // _BATCH))):
         z = np.random.default_rng(child).standard_normal(
             (min(_BATCH, n_paths - k * _BATCH), n_normals))
         units = values(z)
+        shift = units[0] if shift is None else shift
         total += float(units.sum())
-        total_sq += float(units @ units)
+        total_sq += float((units - shift) @ (units - shift))
     mean = total / n_paths
-    var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
+    var = max(total_sq - n_paths * (mean - shift) ** 2, 0.0) / (n_paths - 1)
     return ip.McEstimate(mean=mean, std_error=math.sqrt(var / n_paths), n_paths=n_paths)
+
+
+class TestStandardError:
+    # -0.22086842447377464 is the premium every path carries at t = tau on the
+    # reference model (seed 4, x_tilde 0); summing its squares left rounding
+    @pytest.mark.parametrize("n_paths", [2, 10_000, 40_000, 300_000])
+    def test_equal_values_have_zero_standard_error(self, n_paths):
+        value = -0.22086842447377464
+        est = _run_batches(ip.McConfig(n_paths=n_paths, seed=4), 1,
+                           lambda z: np.full(len(z), value))
+        assert est.std_error == 0.0
+        assert est.mean == pytest.approx(value, rel=1e-15)
+
+    def test_matches_the_two_pass_variance(self):
+        # far from zero: the raw sum of squares cancels to about 1e-6
+        # relative here, the squared deviations from a shift do not
+        n_paths = 300_000
+
+        def values(z):
+            return 1e4 + 0.3 * z[:, 0]
+
+        units = np.concatenate([
+            values(np.random.default_rng(child).standard_normal((size, 1)))
+            for child, size in zip(np.random.SeedSequence(2).spawn(2),
+                                   [_BATCH, n_paths - _BATCH])])
+        est = _run_batches(ip.McConfig(n_paths=n_paths, seed=2), 1, values)
+        assert est.std_error == pytest.approx(units.std(ddof=1) / math.sqrt(n_paths), rel=1e-9)
 
 
 class TestBlockedDraws:
@@ -411,8 +441,7 @@ class TestRiskPremiumOracle:
                         x_tilde, ou, ref_theta, tau, mode="exact")))
         cfg = ip.McConfig(n_paths=4_000, seed=4)
         for check in ip.mc_risk_premium(ref_model, ref_theta, tau, tau, x_tilde, cfg)[:2]:
-            # the standard error of equal values is rounding in the sum of squares
-            assert check.estimate.std_error < 1e-6
+            assert check.estimate.std_error == 0.0
             assert check.estimate.mean == pytest.approx(expected, rel=1e-12)
 
     def test_cross_check_is_the_third_check(self, ref_model, ref_theta):
