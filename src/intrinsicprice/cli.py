@@ -142,6 +142,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _path_count(text: str) -> int:
+    """Argparse type for ``--paths`` and ``--nested-paths``: at least 2 paths,
+    the fewest a standard error needs, in decimal digits."""
+    if not (text.isdecimal() and int(text) >= 2):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return int(text)
+
+
 def _load_calendar_arg(args) -> Calendar:
     return load_calendar(args.calendar) if args.calendar else Calendar()
 
@@ -378,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the Monte Carlo verification suite")
     p.add_argument("--params", default=None)
-    p.add_argument("--paths", type=int, default=1_000_000)
-    p.add_argument("--nested-paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_path_count, default=1_000_000)
+    p.add_argument("--nested-paths", type=_path_count, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mutation", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_verify)

@@ -407,6 +407,17 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--seed: expected a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--paths", "--nested-paths"])
+    @pytest.mark.parametrize("count", ["1", "0", "-5"])
+    def test_too_few_paths_is_usage_error_naming_the_flag(self, flag, count, capsys):
+        argv = ["verify", "--paths", "1000", "--nested-paths", "1000", "--seed", "0"]
+        argv[argv.index(flag) + 1] = count
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert (f"argument {flag}: expected an integer of at least 2, got '{count}'"
+                in capsys.readouterr().err)
+
 
 class TestBadInputFiles:
     """Every file flag turns a missing path, a directory or bytes that are not

@@ -116,6 +116,10 @@ class TestRadonNikodym:
         with pytest.raises(DomainError, match="increasing"):
             ip.radon_nikodym_path(0.1, np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]))
 
+    def test_zero_width_step_rejected(self):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            ip.radon_nikodym_path(0.1, np.zeros((3, 3)), np.array([0.0, 1.0, 1.0, 2.0]))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError, match="non-empty 1-d array"):
             ip.radon_nikodym_path(0.1, np.zeros((3, 0)), np.array([]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, NumericError
+from intrinsicprice.model import _MAX_EXPONENT, _checked_exp
 
 
 class TestIntrinsicPrice:
@@ -181,6 +182,20 @@ class TestPriceGenerating:
         # both legs enter with positive weight
         assert ip.price_generating(ref_model, 267.0, 268.0, 0.0) > 0.0
 
+    def test_live_through_the_end_of_delivery(self, ref_model):
+        # at t = tau_e the horizon is 0 and each leg its settlement value;
+        # one ulp later the forward has settled
+        tau = 268.0
+        tau_e = tau + ref_model.conv.epsilon
+        s, sigma = ref_model.supply, ref_model.ou.sigma
+        g = float(ip.evaluate(ref_model.load_seasonality, tau_e))
+        at_expiry = sigma * (s.alpha1 * math.exp(s.alpha1 * (g - s.beta1))
+                             - s.alpha2 * math.exp(s.alpha2 * (g - s.beta2)))
+        assert at_expiry == pytest.approx(2.0, abs=1e-3)
+        assert ip.price_generating(ref_model, tau_e, tau, 0.0) == pytest.approx(at_expiry,
+                                                                                rel=1e-14)
+        assert ip.price_generating(ref_model, np.nextafter(tau_e, np.inf), tau, 0.0) == 0.0
+
     def test_array_time_handling(self, ref_model):
         ts = np.array([100.0, 268.5, 270.0])
         out = ip.price_generating(ref_model, ts, 268.0, 0.0)
@@ -212,6 +227,18 @@ class TestPriceGenerating:
 
 
 class TestFutures:
+    def test_first_delivery_may_fix_at_the_epoch(self, ref_model, conv):
+        # a delivery at delta fixes at t = 0; one an hour earlier fixes before
+        x = 1.0
+        at_delta = ip.futures_price(ref_model, 0.0, ip.DeliverySet.from_hours([conv.delta]),
+                                    {0.0: x})
+        expected = (math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon))
+                    * ip.forward_price(ref_model, 0.0, conv.delta, x))
+        assert at_delta == pytest.approx(expected, rel=1e-14)
+        with pytest.raises(DomainError, match="fixes before the series epoch"):
+            ip.futures_price(ref_model, 0.0, ip.DeliverySet.from_hours([conv.delta - 1.0]),
+                             {0.0: x})
+
     def test_single_delivery_reduction(self, ref_model, conv):
         t, tau, x = 100.0, 268.0, 2.0
         single = ip.DeliverySet.from_hours([tau])
@@ -310,7 +337,24 @@ class TestArraysInArraysOut:
             assert np.asarray(value).tobytes() == on_arrays[k].tobytes()
 
 
+class TestCheckedExp:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_cap_itself_passes_and_just_above_raises(self, sign):
+        assert _checked_exp(sign * _MAX_EXPONENT, "leg") == math.exp(sign * 700.0)
+        above = np.nextafter(_MAX_EXPONENT, np.inf)
+        with pytest.raises(NumericError, match="leg: exponent magnitude"):
+            _checked_exp(sign * above, "leg")
+        with pytest.raises(NumericError, match="leg: exponent magnitude"):
+            _checked_exp(np.array([0.0, sign * above]), "leg")
+
+
 class TestSupplyParams:
+    def test_zero_slopes_rejected(self):
+        with pytest.raises(DomainError, match="alpha1 must be positive"):
+            ip.SupplyParams(alpha1=0.0, alpha2=-0.2, beta1=0.0, beta2=0.0)
+        with pytest.raises(DomainError, match="alpha2 must be negative"):
+            ip.SupplyParams(alpha1=0.1, alpha2=0.0, beta1=0.0, beta2=0.0)
+
     def test_sign_constraints(self):
         with pytest.raises(DomainError):
             ip.SupplyParams(alpha1=-0.1, alpha2=-0.2, beta1=0.0, beta2=0.0)
