@@ -249,9 +249,14 @@ def _walk_job(ou: OuParams, x, steps, cfg: McConfig, payoff):
     list of states after each of the exact ``steps`` from ``x`` under the
     mutation drift of ``cfg``; the shock of step ``k`` is its transition sd
     times column ``k`` of the batch's standard normals."""
-    sds = _step_law(ou, steps)[2].tolist()
-    return cfg, len(sds), lambda z: payoff(_walk(
-        ou, x, steps, (sd * z[:, k] for k, sd in enumerate(sds)), cfg.mutation_drift))
+    sds = _step_law(ou, steps)[2]
+
+    def values(z):
+        shocks = np.empty((len(sds), len(z)))      # one pass, and each step's shocks contiguous
+        np.multiply(z.T, sds[:, None], out=shocks)
+        return payoff(_walk(ou, x, steps, shocks, cfg.mutation_drift))
+
+    return cfg, len(sds), values
 
 
 def _w_integral_law(ou: OuParams, h: float) -> tuple[float, float, float]:
