@@ -229,13 +229,15 @@ def _run_plans(plans) -> list:
     streams: dict = {}
     for i, plan in enumerate(plans):
         for j, (cfg, k, values_fn) in enumerate(plan.jobs):
-            streams.setdefault((cfg.seed, cfg.n_paths), []).append((k, values_fn, cfg, (i, j)))
+            streams.setdefault((cfg.seed, cfg.n_paths), []).append((k, values_fn, i, j))
     estimates = [[None] * len(plan.jobs) for plan in plans]
-    for jobs in streams.values():
+    for (seed, n_paths), jobs in streams.items():
         jobs.sort(key=lambda job: -job[0])
         for w in range(0, len(jobs), _STREAM_JOBS):
             wave = jobs[w:w + _STREAM_JOBS]
-            for (_, _, _, (i, j)), est in zip(wave, _run_jobs(wave[0][2], [job[:2] for job in wave])):
+            wave_estimates = _run_jobs(McConfig(n_paths=n_paths, seed=seed),
+                                       [(k, values_fn) for k, values_fn, _, _ in wave])
+            for (_, _, i, j), est in zip(wave, wave_estimates):
                 estimates[i][j] = est
     return [plan.finish(ests) for plan, ests in zip(plans, estimates)]
 

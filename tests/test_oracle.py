@@ -192,12 +192,6 @@ class TestBlockedDraws:
         assert seen == [threads_before + 1] * 3   # exactly one helper thread
         assert threading.active_count() == threads_before
 
-    def test_a_job_of_no_columns_gets_its_rows(self):
-        jobs = [(0, lambda z: np.full(len(z), 2.0 + z.shape[1])), (3, self.values)]
-        constant, _ = _run_jobs(ip.McConfig(n_paths=300_000, seed=0), jobs)
-        assert constant == ip.McEstimate(mean=2.0, std_error=0.0, n_paths=300_000)
-
-
 class TestDirectOracles:
     def test_forward_agreement(self, ref_model):
         cfg = ip.McConfig(n_paths=400_000, seed=1)
@@ -372,6 +366,16 @@ class TestFuturesMartingaleFrozenForwards:
             assert check.closed_form == ip.futures_price(
                 ref_model, t, ip.DeliverySet.from_hours(self.STRIP), backbone)
         assert n_frozen == [0, 4, 8]
+
+    def test_past_every_fixing_nothing_is_drawn(self, ref_model):
+        # from FIX + 12 every forward of the strip is frozen: the quote is
+        # the same sum on every path, so the check is exact
+        t_list = [self.FIX - 24.0, self.FIX + 12.0, self.FIX + 30.0]
+        cfg = ip.McConfig(n_paths=300_000, seed=17)
+        check = ip.mc_futures_martingale(ref_model, t_list, ip.DeliverySet.from_hours(self.STRIP),
+                                         cfg, x_start=1.0)[1]
+        assert check.estimate.std_error == 0.0
+        assert check.z == 0.0
 
     def test_no_start_state_is_x0(self, ref_model):
         cfg = ip.McConfig(n_paths=20_000, seed=5)
