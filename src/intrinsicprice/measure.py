@@ -40,6 +40,8 @@ def to_risk_neutral_state(x_tilde, ou: OuParams, theta: float, tau,
     if mode not in modes:
         raise DomainError(f"mode must be one of {modes}, got {mode!r}")
     tau = np.asarray(tau, dtype=float)
+    if not np.isfinite(tau).all():
+        raise DomainError("tau must be finite")
     if np.any(tau < 0):
         raise DomainError("tau must be non-negative")
     if mode == "exact":

@@ -93,10 +93,12 @@ def _leg_moments(supply: SupplyParams, ou: OuParams, g_tau_e, horizon, x):
 
 
 def _horizon_and_load(model: ModelQ, t, tau):
-    """The horizon ``tau_e - t`` for delivery ``tau``, which must not be
-    negative, and the load seasonality ``g(tau_e)``."""
+    """The horizon ``tau_e - t`` for delivery ``tau``, which must be finite
+    and not negative, and the load seasonality ``g(tau_e)``."""
     tau_e = np.asarray(tau, dtype=float) + model.conv.epsilon
     horizon = tau_e - np.asarray(t, dtype=float)
+    if not np.isfinite(horizon).all():
+        raise DomainError("supply leg moments need finite times t and tau")
     if (horizon < 0).any():
         raise DomainError("supply leg moments require t <= tau + epsilon")
     return horizon, evaluate(model.load_seasonality, tau_e)

@@ -97,10 +97,12 @@ def _classify_days(day_indices: np.ndarray, epoch: _dt.date, cal: Calendar) -> n
 
 
 def _hours_and_classes(tau, epoch: _dt.date, cal: Calendar):
-    """``tau`` (hours since midnight of ``epoch``, at least 0) as a float
-    array of at least one dimension, with the hour of day and the weekday
-    class of each entry."""
+    """``tau`` (finite hours since midnight of ``epoch``, at least 0) as a
+    float array of at least one dimension, with the hour of day and the
+    weekday class of each entry."""
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.isfinite(taus).all():
+        raise DomainError("seasonality needs finite times tau")
     if (taus < 0).any():
         raise DomainError("seasonality is defined for tau >= 0 only")
     whole = np.floor(taus).astype(np.int64)
@@ -133,7 +135,8 @@ class SeasonalityModel:
 
     ``dow_weights`` has one entry per ``WeekdayClass`` with the
     Tue/Wed/Thu entry zero; ``hod_weights`` has 24 entries with hour 0
-    zero.
+    zero.  Both are kept as read-only copies, so an instance never
+    changes and :func:`evaluate` may keep its last result on it.
     """
 
     level: float
@@ -146,8 +149,8 @@ class SeasonalityModel:
     epoch: _dt.date
 
     def __post_init__(self):
-        dow = np.asarray(self.dow_weights, dtype=float)
-        hod = np.asarray(self.hod_weights, dtype=float)
+        dow = np.array(self.dow_weights, dtype=float)
+        hod = np.array(self.hod_weights, dtype=float)
         if dow.shape != (4,):
             raise DomainError("dow_weights must have one entry per weekday class")
         if hod.shape != (24,):
@@ -158,8 +161,11 @@ class SeasonalityModel:
             raise DomainError("the hour-0 coefficient is the reference and must be 0")
         if not np.all(np.isfinite(dow)) or not np.all(np.isfinite(hod)):
             raise DomainError("seasonality coefficients must be finite")
+        dow.flags.writeable = hod.flags.writeable = False
         object.__setattr__(self, "dow_weights", dow)
         object.__setattr__(self, "hod_weights", hod)
+        # (input bytes, output) of the last evaluate call; not a field
+        object.__setattr__(self, "_last_evaluation", (None, None))
 
     @classmethod
     def constant(cls, level: float, epoch: _dt.date | None = None,
@@ -191,16 +197,25 @@ def _from_coefficients(beta: np.ndarray, cal: Calendar, epoch: _dt.date) -> Seas
 
 def evaluate(model: SeasonalityModel, tau):
     """Seasonal value at ``tau`` (scalar or array of hours since epoch), in
-    an array of the shape of ``tau``; the annual phase is computed once."""
-    taus, hours, classes = _hours_and_classes(tau, model.epoch, model.calendar)
-    phase = _TWO_PI * taus / HOURS_PER_YEAR
-    out = (model.level
-           + model.trend * taus
-           + model.sin_annual * np.sin(phase)
-           + model.cos_annual * np.cos(phase)
-           + model.dow_weights[classes]
-           + model.hod_weights[hours])
-    return out.reshape(np.shape(tau))
+    a new array of the shape of ``tau``; the annual phase is computed once.
+
+    The model keeps its last input and result, so a call on the same float
+    values (the pricers of one delivery strip each ask for ``g3(tau)`` or
+    ``g(tau + eps)``) copies that result.  Only a validated input is kept."""
+    tau = np.asarray(tau, dtype=float)
+    key = tau.tobytes()
+    last_key, out = model._last_evaluation
+    if key != last_key:
+        taus, hours, classes = _hours_and_classes(tau, model.epoch, model.calendar)
+        phase = _TWO_PI * taus / HOURS_PER_YEAR
+        out = (model.level
+               + model.trend * taus
+               + model.sin_annual * np.sin(phase)
+               + model.cos_annual * np.cos(phase)
+               + model.dow_weights[classes]
+               + model.hod_weights[hours])
+        object.__setattr__(model, "_last_evaluation", (key, out))
+    return out.reshape(tau.shape).copy()
 
 
 def fit(taus, values, cal: Calendar, epoch: _dt.date) -> SeasonalityModel:
