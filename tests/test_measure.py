@@ -41,6 +41,12 @@ class TestRealWorldSeasonality:
         with pytest.raises(DomainError, match="tau must be non-negative"):
             ip.to_risk_neutral_state(0.0, ref_ou, 0.1, [1.0, -1.0])
 
+    @pytest.mark.parametrize("mode", ["first_order", "exact"])
+    def test_non_finite_tau_rejected(self, ref_ou, mode):
+        for tau in (np.nan, [1.0, np.inf]):
+            with pytest.raises(DomainError, match="tau must be finite"):
+                ip.to_risk_neutral_state(0.0, ref_ou, 0.1, tau, mode)
+
 
 class TestStateShift:
     def test_identities(self, ref_ou):

@@ -77,6 +77,13 @@ class TestSupplyLegExpectation:
         with pytest.raises(DomainError):
             ip.supply_leg_expectation(flat_model, 3, 90.0, 100.0, 0.0)
 
+    @pytest.mark.parametrize("t, tau", [(np.nan, 100.0), (-np.inf, 100.0),
+                                        (np.array([90.0, np.nan]), 100.0)],
+                             ids=["nan-t", "minus-inf-t", "nan-in-array"])
+    def test_non_finite_time_rejected(self, ref_model, t, tau):
+        with pytest.raises(DomainError, match="finite times"):
+            ip.forward_price(ref_model, t, tau, 0.0)
+
 
 class TestTradableAndForward:
     def test_settlement_value_is_realised_intrinsic_bitwise(self, ref_model):

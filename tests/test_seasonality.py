@@ -1,5 +1,7 @@
 import dataclasses
 import datetime as dt
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -156,6 +158,14 @@ class TestEvaluate:
             with pytest.raises(DomainError, match="tau >= 0 only"):
                 ip.evaluate(model, tau)
 
+    @pytest.mark.parametrize("tau", [np.array([np.nan, 5.0]), np.inf, np.array([-np.inf])],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_times_rejected(self, rng, tau):
+        model = random_model(rng)
+        for _ in range(2):      # a rejected input is not kept, so it is rejected again
+            with pytest.raises(DomainError, match="finite times"):
+                ip.evaluate(model, tau)
+
     def test_reference_coefficients_must_be_zero(self):
         dow = np.zeros(4)
         dow[ip.WeekdayClass.TUE_WED_THU] = 1.0
@@ -163,6 +173,113 @@ class TestEvaluate:
             ip.SeasonalityModel(level=0, trend=0, sin_annual=0, cos_annual=0,
                                 dow_weights=dow, hod_weights=np.zeros(24),
                                 calendar=ip.Calendar(), epoch=EPOCH)
+
+
+class TestLastEvaluation:
+    """A model is immutable and keeps its last evaluation; what the memo
+    returns is bit-identical to a fresh model's result and owned by the caller."""
+
+    TAUS = 24.0 * 900 + np.arange(720.0)
+
+    def test_weights_are_read_only_copies(self):
+        def build(dow, hod):
+            return ip.SeasonalityModel(level=1.0, trend=0.0, sin_annual=0.0, cos_annual=0.0,
+                                       dow_weights=dow, hod_weights=hod,
+                                       calendar=ip.Calendar(), epoch=EPOCH)
+
+        dow, hod = np.array([0.5, 0.0, -2.0, -3.5]), np.arange(24.0) / 4.0
+        model, twin = build(dow, hod), build(dow.copy(), hod.copy())
+        ip.evaluate(model, self.TAUS)
+        dow[0], hod[5] = 99.0, 99.0
+        assert model.dow_weights[0] == 0.5 and model.hod_weights[5] == 1.25
+        assert np.array_equal(ip.evaluate(model, self.TAUS + 1.0),
+                              ip.evaluate(twin, self.TAUS + 1.0))
+        for weights in (model.dow_weights, model.hod_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 1.0
+
+    def test_caller_arrays_do_not_leak_into_the_memo(self, rng):
+        fresh = random_model(rng)
+        model = dataclasses.replace(fresh)
+        taus = self.TAUS.copy()
+        ip.evaluate(model, taus)[:] = 0.0       # the caller owns what it gets
+        taus += 24.0                            # same array, new values
+        assert np.array_equal(ip.evaluate(model, taus),
+                              ip.evaluate(dataclasses.replace(fresh), taus))
+        assert np.array_equal(ip.evaluate(model, self.TAUS),
+                              ip.evaluate(dataclasses.replace(fresh), self.TAUS))
+        out = ip.evaluate(model, self.TAUS)     # a hit
+        out[:] = 0.0
+        assert np.array_equal(ip.evaluate(model, self.TAUS),
+                              ip.evaluate(dataclasses.replace(fresh), self.TAUS))
+
+    def test_equal_bytes_keep_each_callers_shape(self, rng):
+        model = random_model(rng)
+        tau = 24.0 * 700 + 13.25
+        inputs = [tau, np.float64(tau), np.array(tau), [tau], np.array([[tau]]), [[[tau]]]]
+        expected = ip.evaluate(dataclasses.replace(model), tau).item().hex()
+        for value in inputs:
+            out = ip.evaluate(model, value)
+            assert out.shape == np.shape(value)
+            assert out.item().hex() == expected
+        block = self.TAUS.reshape(24, 30)
+        on_flat = ip.evaluate(model, self.TAUS)
+        on_block = ip.evaluate(model, block)
+        assert on_block.shape == (24, 30)
+        assert [v.hex() for v in on_block.ravel().tolist()] == [
+            v.hex() for v in ip.evaluate(dataclasses.replace(model), block).ravel().tolist()]
+        assert on_block.tobytes() == on_flat.tobytes()
+
+    def test_threads_sharing_a_model_get_their_own_values(self, rng):
+        model = random_model(rng)
+        inputs = [self.TAUS + 24.0 * k for k in range(6)]
+        expected = [ip.evaluate(dataclasses.replace(model), taus) for taus in inputs]
+        wrong = []
+
+        def work(k):
+            for i in range(300):
+                j = (k + i % 2) % len(inputs)   # two inputs per thread, shared with a neighbour
+                if not np.array_equal(ip.evaluate(model, inputs[j]), expected[j]):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and wrong == []
+
+    def test_memo_is_not_a_field(self, rng):
+        model = random_model(rng)
+        ip.evaluate(model, self.TAUS)
+        names = [f.name for f in dataclasses.fields(model)]
+        assert list(dataclasses.asdict(model)) == names
+        assert "_last_evaluation" not in repr(model)
+
+    def test_one_strip_computes_each_seasonality_once(self, monkeypatch):
+        from intrinsicprice import seasonality
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return compute(*args)
+
+        compute = seasonality._hours_and_classes
+        monkeypatch.setattr(seasonality, "_hours_and_classes", counted)
+        model, theta = ip.reference_model()
+        taus = 24.0 * 365 + np.arange(720.0)
+        t, x = taus[0] - 100.0, 1.3
+        ip.forward_price(model, t, taus, x)
+        ip.tradable_price(model, t, taus, x)
+        ip.futures_price(model, t, ip.DeliverySet.from_hours(taus), {t: x})
+        ip.risk_premium(model, theta, t, taus, x)
+        assert calls == [720, 720]      # g3(tau) and g(tau + eps), not seven evaluations
 
 
 class TestFit:
