@@ -33,7 +33,7 @@ from .oracle import (McConfig, McEstimate, OracleCheck, all_passed,
                      mc_risk_premium, mc_tradable, run_verification_suite)
 from .ou import OuParams, fit_mle, sample_transition, simulate, transition
 from .seasonality import (Calendar, SeasonalityModel, WeekdayClass, design_matrix,
-                          design_row, evaluate, fit, load_calendar,
-                          price_seasonality_target, weekday_class)
+                          evaluate, fit, load_calendar, price_seasonality_target,
+                          weekday_class)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelQ, _horizon_and_load, _leg_moments, _pick_leg
+from .model import ModelQ, _horizon_and_load, _leg_moments
 from .ou import OuParams
 from .seasonality import SeasonalityModel
 
@@ -105,17 +105,17 @@ def _real_world_legs(model: ModelQ, theta: float, tau, horizon, g_tau_e, x_tilde
     return _leg_moments(model.supply, ou, g_tau_e + shift, horizon, x_tilde)
 
 
-def supply_leg_real_world_expectation(model: ModelQ, theta: float, i: int, t, tau, x_tilde):
-    """Real-world conditional moment of supply leg ``i`` given the
-    deseasonalised deviation ``x_tilde`` at time ``t``.
+def supply_leg_real_world_expectation(model: ModelQ, theta: float, t, tau, x_tilde):
+    """Real-world conditional moments of both supply legs, as ``(L1~, L2~)``,
+    given the deseasonalised deviation ``x_tilde`` at time ``t``.
 
-    Identical to the pricing-measure leg expectation apart from a
+    Identical to the pricing-measure leg expectations apart from a
     deterministic load shift ``e^{-lam eps}(1 - e^{-lam tau}) sigma theta``
-    that carries the accumulated measure drift.  At ``theta = 0`` it
-    coincides exactly with :func:`intrinsicprice.model.supply_leg_expectation`.
+    that carries the accumulated measure drift.  At ``theta = 0`` they
+    coincide exactly with :func:`intrinsicprice.model.supply_leg_expectation`.
     """
     horizon, g_tau_e = _horizon_and_load(model, t, tau)
-    return _pick_leg(i, _real_world_legs(model, theta, tau, horizon, g_tau_e, x_tilde))
+    return _real_world_legs(model, theta, tau, horizon, g_tau_e, x_tilde)
 
 
 def risk_premium(model: ModelQ, theta: float, t, tau, x_tilde):

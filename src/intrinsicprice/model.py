@@ -110,20 +110,14 @@ def _legs(model: ModelQ, t, tau, x):
     return (horizon, *_leg_moments(model.supply, model.ou, g_tau_e, horizon, x))
 
 
-def _pick_leg(i: int, legs):
-    """Leg ``i`` (1 or 2) of an ``(L1, L2)`` pair."""
-    if i not in (1, 2):
-        raise DomainError(f"supply leg must be 1 or 2, got {i}")
-    return legs[i - 1]
-
-
-def supply_leg_expectation(model: ModelQ, i: int, t, tau, x):
-    """Closed-form ``E[exp(alpha_i (G_{tau_e} - beta_i)) | X_t = x]`` for leg ``i``.
+def supply_leg_expectation(model: ModelQ, t, tau, x):
+    """Closed-form ``E[exp(alpha_i (G_{tau_e} - beta_i)) | X_t = x]`` of both
+    supply legs, as ``(L1, L2)``.
 
     Requires ``t <= tau_e``.  At ``t = tau_e`` the convexity term vanishes
-    and the value is the realised supply leg.
+    and each value is the realised supply leg.
     """
-    return _pick_leg(i, _legs(model, t, tau, x)[1:])
+    return _legs(model, t, tau, x)[1:]
 
 
 def forward_price(model: ModelQ, t, tau, x):

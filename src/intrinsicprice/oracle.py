@@ -18,8 +18,9 @@ the stream is drawn as wide as the widest job, in chunks one chunk ahead
 on one helper thread while the main thread values the chunk before
 (``_draw_ahead``), and each job values its own rows of each chunk and sums
 its own whole-batch values, so its estimate is the one drawing alone
-gives, bit for bit.  An estimator is a ``_Plan`` of such jobs;
-``run_verification_suite`` runs the plans of all its estimators at once.
+gives, bit for bit.  An estimator is a ``_Plan`` of such jobs, and
+``_run_plans`` values every plan: one plan for an ``mc_*`` call or a
+martingale step, all of them at once for ``run_verification_suite``.
 
 A mutation mode (``McConfig.mutation_drift``) adds a constant drift to
 every simulated dynamic; agreement checks must demonstrably fail under
@@ -37,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conventions import DeliverySet
+from .conventions import DeliverySet, discount
 from .errors import DomainError, NumericError
 from .measure import _terminal_density, risk_premium, to_risk_neutral_state
 from .model import (ModelQ, forward_price, futures_price, intraday_price,
@@ -201,11 +202,6 @@ def _run_jobs(cfg: McConfig, jobs) -> list[McEstimate]:
     return estimates
 
 
-def _run_batches(cfg: McConfig, n_normals: int, values_fn) -> McEstimate:
-    """``_run_jobs`` for one job."""
-    return _run_jobs(cfg, [(n_normals, values_fn)])[0]
-
-
 def _scale(est: McEstimate, factor: float, offset: float = 0.0) -> McEstimate:
     return McEstimate(mean=offset + factor * est.mean,
                       std_error=abs(factor) * est.std_error, n_paths=est.n_paths)
@@ -303,12 +299,9 @@ def mc_forward(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -
     return _solo(_forward_plan(model, t, tau, x_t, cfg))
 
 
-def _discount(model: ModelQ, t: float, tau: float) -> float:
-    return math.exp(-model.conv.hourly_rate * (tau + model.conv.epsilon - t))
-
-
 def mc_tradable(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -> McEstimate:
-    return _scale(mc_forward(model, t, tau, x_t, cfg), _discount(model, t, tau))
+    return _scale(mc_forward(model, t, tau, x_t, cfg),
+                  discount(t, tau + model.conv.epsilon, model.conv))
 
 
 def _day_ahead_tower_plan(model: ModelQ, tau: float, x_at_fix: float, cfg: McConfig) -> _Plan:
@@ -539,9 +532,9 @@ def _tower_checks(model: ModelQ, label: str, t_list, x_start, cfg: McConfig,
     checks = []
     for t, u in zip(t_list, t_list[1:]):
         ahead = [s for s in needs(u) if s > t]
-        estimate = _run_batches(*_walk_job(model.ou, backbone[t], np.diff([t] + ahead), cfg,
-                                           lambda drawn: quote(u, {**backbone,
-                                                                   **dict(zip(ahead, drawn))})))
+        estimate = _solo(_Plan([_walk_job(model.ou, backbone[t], np.diff([t] + ahead), cfg,
+                                          lambda drawn: quote(u, {**backbone,
+                                                                  **dict(zip(ahead, drawn))}))]))
         checks.append(OracleCheck(f"{label} martingale {t:g}h -> {u:g}h",
                                   closed(t, backbone), estimate))
     return checks
@@ -685,11 +678,11 @@ def run_verification_suite(model: ModelQ, theta: float, cfg: McConfig,
         OracleCheck("forward price", f_ref, forward),
         # the tradable price is the discounted forward: mc_tradable scales mc_forward
         OracleCheck("tradable price", tradable_price(model, t, tau, x_ref),
-                    _scale(forward, _discount(model, t, tau))),
+                    _scale(forward, discount(t, tau + conv.epsilon, conv))),
         OracleCheck("intraday price (one-period expectation)", intraday_price(model, tau, x_ref),
-                    _scale(intraday, _discount(model, tau, tau))),
+                    _scale(intraday, discount(tau, tau + conv.epsilon, conv))),
         OracleCheck("day-ahead price (one-day expectation)", day_ahead_price(model, tau, x_ref),
-                    _scale(day_ahead, _discount(model, tau - conv.delta, tau))),
+                    _scale(day_ahead, discount(tau - conv.delta, tau + conv.epsilon, conv))),
         tower,
         OracleCheck("futures price (24h strip)",
                     futures_price(model, t_fut, strip, {t_fut: x_ref}), futures),

@@ -57,11 +57,9 @@ COLUMN_NAMES = (
 )
 N_COLUMNS = len(COLUMN_NAMES)
 
-_DOW_DUMMY_SLOT = {
-    WeekdayClass.MON_FRI: 4,
-    WeekdayClass.SAT_BRIDGE_PARTIAL: 5,
-    WeekdayClass.SUN_HOLIDAY: 6,
-}
+# the weekday class of each dummy column, 4:7
+_DOW_DUMMY_CLASSES = np.array([WeekdayClass.MON_FRI, WeekdayClass.SAT_BRIDGE_PARTIAL,
+                               WeekdayClass.SUN_HOLIDAY])
 
 
 def _month_keys(taus: np.ndarray, epoch: _dt.date) -> np.ndarray:
@@ -117,16 +115,10 @@ def design_matrix(taus, epoch: _dt.date, cal: Calendar) -> np.ndarray:
     X[:, 1] = taus
     X[:, 2] = np.sin(_TWO_PI * taus / HOURS_PER_YEAR)
     X[:, 3] = np.cos(_TWO_PI * taus / HOURS_PER_YEAR)
-    for cls, slot in _DOW_DUMMY_SLOT.items():
-        X[classes == int(cls), slot] = 1.0
+    X[:, 4:7] = classes[:, None] == _DOW_DUMMY_CLASSES
     rows = np.flatnonzero(hours > 0)
     X[rows, 6 + hours[rows]] = 1.0
     return X
-
-
-def design_row(tau: float, epoch: _dt.date, cal: Calendar) -> np.ndarray:
-    """Coefficient vector multiplying the model parameters at time ``tau``."""
-    return design_matrix([tau], epoch, cal)[0]
 
 
 @dataclass(frozen=True)
@@ -178,16 +170,14 @@ class SeasonalityModel:
         """Parameters in design-column order."""
         beta = np.empty(N_COLUMNS)
         beta[0:4] = (self.level, self.trend, self.sin_annual, self.cos_annual)
-        for cls, slot in _DOW_DUMMY_SLOT.items():
-            beta[slot] = self.dow_weights[int(cls)]
+        beta[4:7] = self.dow_weights[_DOW_DUMMY_CLASSES]
         beta[7:] = self.hod_weights[1:]
         return beta
 
 
 def _from_coefficients(beta: np.ndarray, cal: Calendar, epoch: _dt.date) -> SeasonalityModel:
     dow = np.zeros(4)
-    for cls, slot in _DOW_DUMMY_SLOT.items():
-        dow[int(cls)] = beta[slot]
+    dow[_DOW_DUMMY_CLASSES] = beta[4:7]
     hod = np.zeros(24)
     hod[1:] = beta[7:]
     return SeasonalityModel(level=float(beta[0]), trend=float(beta[1]),

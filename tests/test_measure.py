@@ -176,9 +176,8 @@ class TestMutationPower:
 class TestRealWorldLegExpectation:
     def test_zero_theta_matches_pricing_measure_leg(self, ref_model):
         t, tau, x = 100.0, 268.0, 2.4
-        for i in (1, 2):
-            assert ip.supply_leg_real_world_expectation(ref_model, 0.0, i, t, tau, x) == \
-                ip.supply_leg_expectation(ref_model, i, t, tau, x)
+        assert ip.supply_leg_real_world_expectation(ref_model, 0.0, t, tau, x) == \
+            ip.supply_leg_expectation(ref_model, t, tau, x)
 
     def test_zero_vol_reduces_to_decay(self, ref_supply, conv):
         ou = ip.OuParams(lam=0.0298, sigma=0.0, x0=0.0)
@@ -187,7 +186,7 @@ class TestRealWorldLegExpectation:
                           price_seasonality=ip.SeasonalityModel.constant(30.0), conv=conv)
         t, tau, x = 100.0, 268.0, 3.0
         expected = math.exp(0.1949 * (47.0 + math.exp(-0.0298 * (tau + 1 - t)) * x - 43.8799))
-        value = ip.supply_leg_real_world_expectation(model, -0.5, 1, t, tau, x)
+        value = ip.supply_leg_real_world_expectation(model, -0.5, t, tau, x)[0]
         assert value == pytest.approx(expected, rel=1e-14)
 
     def test_against_real_world_monte_carlo(self, ref_model, ref_theta, rng):
@@ -195,7 +194,7 @@ class TestRealWorldLegExpectation:
         tau = 400.0
         t = tau - 168.0
         x_tilde = 1.0
-        closed = ip.supply_leg_real_world_expectation(ref_model, ref_theta, 1, t, tau, x_tilde)
+        closed = ip.supply_leg_real_world_expectation(ref_model, ref_theta, t, tau, x_tilde)[0]
         ou = ref_model.ou
         mean, var = ip.transition(ou, x_tilde, tau + 1.0 - t)
         x_end = mean + np.sqrt(var) * rng.standard_normal(1_000_000)
@@ -220,10 +219,9 @@ class TestRiskPremium:
         # forward at the shifted state minus the real-world leg difference
         t, tau, x_tilde = 150.0, 268.0, 0.5
         x = ip.to_risk_neutral_state(x_tilde, ref_model.ou, ref_theta, t)
-        legs_q = (ip.supply_leg_expectation(ref_model, 1, t, tau, x)
-                  - ip.supply_leg_expectation(ref_model, 2, t, tau, x))
-        legs_p = (ip.supply_leg_real_world_expectation(ref_model, ref_theta, 1, t, tau, x_tilde)
-                  - ip.supply_leg_real_world_expectation(ref_model, ref_theta, 2, t, tau, x_tilde))
+        leg1, leg2 = ip.supply_leg_expectation(ref_model, t, tau, x)
+        leg1_p, leg2_p = ip.supply_leg_real_world_expectation(ref_model, ref_theta, t, tau, x_tilde)
+        legs_q, legs_p = leg1 - leg2, leg1_p - leg2_p
         assert ip.risk_premium(ref_model, ref_theta, t, tau, x_tilde) == \
             pytest.approx(legs_q - legs_p, rel=1e-12)
 
@@ -235,10 +233,9 @@ class TestRiskPremium:
     def test_equals_the_public_legs_bit_for_bit(self, ref_model, ref_theta, t, tau):
         x_tilde = 0.5
         x = ip.to_risk_neutral_state(x_tilde, ref_model.ou, ref_theta, t)
-        legs_q = (ip.supply_leg_expectation(ref_model, 1, t, tau, x)
-                  - ip.supply_leg_expectation(ref_model, 2, t, tau, x))
-        legs_p = (ip.supply_leg_real_world_expectation(ref_model, ref_theta, 1, t, tau, x_tilde)
-                  - ip.supply_leg_real_world_expectation(ref_model, ref_theta, 2, t, tau, x_tilde))
+        leg1, leg2 = ip.supply_leg_expectation(ref_model, t, tau, x)
+        leg1_p, leg2_p = ip.supply_leg_real_world_expectation(ref_model, ref_theta, t, tau, x_tilde)
+        legs_q, legs_p = leg1 - leg2, leg1_p - leg2_p
         premium = ip.risk_premium(ref_model, ref_theta, t, tau, x_tilde)
         assert np.shape(premium) == np.broadcast_shapes(np.shape(t), np.shape(tau))
         assert np.array_equal(premium, legs_q - legs_p)

@@ -47,8 +47,9 @@ class TestIntrinsicPrice:
 class TestSupplyLegExpectation:
     def test_at_settlement_equals_realised_leg(self, flat_model):
         tau, x = 100.0, 7.3
-        value = ip.supply_leg_expectation(flat_model, 1, tau + 1.0, tau, x)
-        assert value == math.exp(0.1949 * (47.0 + x - 43.8799))
+        leg1, leg2 = ip.supply_leg_expectation(flat_model, tau + 1.0, tau, x)
+        assert leg1 == math.exp(0.1949 * (47.0 + x - 43.8799))
+        assert leg2 == math.exp(-0.1796 * (47.0 + x - 37.4548))
 
     def test_zero_vol_is_deterministic_decay(self, ref_supply, conv):
         ou = ip.OuParams(lam=0.0298, sigma=0.0, x0=0.0)
@@ -58,14 +59,14 @@ class TestSupplyLegExpectation:
         tau, t, x = 200.0, 150.0, 4.0
         horizon = tau + 1.0 - t
         expected = math.exp(0.1949 * (47.0 + math.exp(-0.0298 * horizon) * x - 43.8799))
-        assert ip.supply_leg_expectation(model, 1, t, tau, x) == pytest.approx(expected, rel=1e-14)
+        assert ip.supply_leg_expectation(model, t, tau, x)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_against_monte_carlo_exponential_moment(self, flat_model, rng):
         # E[exp(alpha1 (G_end - beta1)) | x] with 10^6 exact draws, < 0.5% relative
         tau = 500.0
         t = tau + 1.0 - 24.0
         x = 13.0 / math.exp(-0.0298 * 24.0)   # conditional mean load of 60
-        closed = ip.supply_leg_expectation(flat_model, 1, t, tau, x)
+        closed = ip.supply_leg_expectation(flat_model, t, tau, x)[0]
         mean, var = ip.transition(flat_model.ou, x, 24.0)
         draws = np.exp(0.1949 * (47.0 + mean + np.sqrt(var) * rng.standard_normal(1_000_000)
                                  - 43.8799))
@@ -73,9 +74,7 @@ class TestSupplyLegExpectation:
 
     def test_future_settlement_required(self, flat_model):
         with pytest.raises(DomainError):
-            ip.supply_leg_expectation(flat_model, 1, 102.0, 100.0, 0.0)
-        with pytest.raises(DomainError):
-            ip.supply_leg_expectation(flat_model, 3, 90.0, 100.0, 0.0)
+            ip.supply_leg_expectation(flat_model, 102.0, 100.0, 0.0)
 
     @pytest.mark.parametrize("t, tau", [(np.nan, 100.0), (-np.inf, 100.0),
                                         (np.array([90.0, np.nan]), 100.0)],
@@ -123,10 +122,9 @@ class TestTradableAndForward:
         x_u, x_t = -4.0, 2.5
         r = conv.hourly_rate
         direct = ip.tradable_price(ref_model, t, tau, x_t)
-        legs_t = (ip.supply_leg_expectation(ref_model, 1, t, tau, x_t)
-                  - ip.supply_leg_expectation(ref_model, 2, t, tau, x_t))
-        legs_u = (ip.supply_leg_expectation(ref_model, 1, u, tau, x_u)
-                  - ip.supply_leg_expectation(ref_model, 2, u, tau, x_u))
+        leg1_t, leg2_t = ip.supply_leg_expectation(ref_model, t, tau, x_t)
+        leg1_u, leg2_u = ip.supply_leg_expectation(ref_model, u, tau, x_u)
+        legs_t, legs_u = leg1_t - leg2_t, leg1_u - leg2_u
         recursed = (math.exp(r * (t - u)) * ip.tradable_price(ref_model, u, tau, x_u)
                     + math.exp(-r * (tau + 1.0 - t)) * (legs_t - legs_u))
         assert direct == pytest.approx(recursed, rel=1e-12)
@@ -224,7 +222,7 @@ class TestPriceGenerating:
         model = ip.ModelQ(ou=ref_ou, supply=supply,
                           load_seasonality=ip.SeasonalityModel.constant(47.0),
                           price_seasonality=ip.SeasonalityModel.constant(0.0), conv=conv)
-        assert ip.supply_leg_expectation(model, 2, 100.0, 268.0, 0.0) < 1e-200
+        assert ip.supply_leg_expectation(model, 100.0, 268.0, 0.0)[1] < 1e-200
         tau = 2160.0
         errs = ip.euler_representation_error(model, tau, tau + 1.0 - 336.0, span=0.1,
                                              cfg=ip.McConfig(n_paths=40_000, seed=6,
@@ -308,14 +306,14 @@ _ALL = slice(None)
 _CALLS = {
     "intrinsic_price": (lambda m, th, t, tau, x: ip.intrinsic_price(m, 47.0 + x, tau), _ALL),
     "supply_leg_expectation": (
-        lambda m, th, t, tau, x: ip.supply_leg_expectation(m, 2, t, tau, x), _LIVE),
+        lambda m, th, t, tau, x: ip.supply_leg_expectation(m, t, tau, x)[1], _LIVE),
     "forward_price": (lambda m, th, t, tau, x: ip.forward_price(m, t, tau, x), _LIVE),
     "tradable_price": (lambda m, th, t, tau, x: ip.tradable_price(m, t, tau, x), _LIVE),
     "price_generating": (lambda m, th, t, tau, x: ip.price_generating(m, t, tau, x), _ALL),
     "to_risk_neutral_state": (
         lambda m, th, t, tau, x: ip.to_risk_neutral_state(x, m.ou, th, t, "exact"), _ALL),
     "supply_leg_real_world_expectation": (
-        lambda m, th, t, tau, x: ip.supply_leg_real_world_expectation(m, th, 1, t, tau, x),
+        lambda m, th, t, tau, x: ip.supply_leg_real_world_expectation(m, th, t, tau, x)[0],
         _LIVE),
     "risk_premium": (lambda m, th, t, tau, x: ip.risk_premium(m, th, t, tau, x), _LIVE),
     "transition-mean": (lambda m, th, t, tau, x: ip.transition(m.ou, x, tau - t)[0], _LIVE),

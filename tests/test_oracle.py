@@ -8,7 +8,7 @@ import pytest
 
 import intrinsicprice as ip
 from intrinsicprice import DomainError, cli
-from intrinsicprice.oracle import _BATCH, _run_batches, _run_jobs, _w_walk
+from intrinsicprice.oracle import _BATCH, _run_jobs, _w_walk
 from intrinsicprice.ou import _step_law, _walk
 
 
@@ -80,8 +80,8 @@ class TestStandardError:
     @pytest.mark.parametrize("n_paths", [2, 10_000, 40_000, 300_000])
     def test_equal_values_have_zero_standard_error(self, n_paths):
         value = -0.22086842447377464
-        est = _run_batches(ip.McConfig(n_paths=n_paths, seed=4), 1,
-                           lambda z: np.full(len(z), value))
+        est = _run_jobs(ip.McConfig(n_paths=n_paths, seed=4),
+                        [(1, lambda z: np.full(len(z), value))])[0]
         assert est.std_error == 0.0
         assert est.mean == pytest.approx(value, rel=1e-15)
 
@@ -97,7 +97,7 @@ class TestStandardError:
             values(np.random.default_rng(child).standard_normal((size, 1)))
             for child, size in zip(np.random.SeedSequence(2).spawn(2),
                                    [_BATCH, n_paths - _BATCH])])
-        est = _run_batches(ip.McConfig(n_paths=n_paths, seed=2), 1, values)
+        est = _run_jobs(ip.McConfig(n_paths=n_paths, seed=2), [(1, values)])[0]
         assert est.std_error == pytest.approx(units.std(ddof=1) / math.sqrt(n_paths), rel=1e-9)
 
 
@@ -121,7 +121,7 @@ class TestBlockedDraws:
 
     @pytest.mark.parametrize("n_paths", [2, 5000, 32768, 300_000, 2**19 + 1])
     def test_run_batches_matches_whole_batch_draws(self, n_paths):
-        est = _run_batches(ip.McConfig(n_paths=n_paths, seed=4), 3, self.values)
+        est = _run_jobs(ip.McConfig(n_paths=n_paths, seed=4), [(3, self.values)])[0]
         assert est == whole_batch_estimate(n_paths, 4, 3, self.values)
 
     @pytest.mark.parametrize("n_paths", [2, 5000, 300_000, 2**19 + 1])
@@ -133,7 +133,8 @@ class TestBlockedDraws:
             jobs = [(k, self.values_of_width(k)) for k in widths]
             estimates = _run_jobs(ip.McConfig(n_paths=n_paths, seed=seed), jobs)
             for (k, values), est in zip(jobs, estimates):
-                assert est == _run_batches(ip.McConfig(n_paths=n_paths, seed=seed), k, values)
+                alone = _run_jobs(ip.McConfig(n_paths=n_paths, seed=seed), [(k, values)])[0]
+                assert est == alone
                 assert est == whole_batch_estimate(n_paths, seed, k, values), widths
 
     def test_euler_representation_matches_whole_batch_draws(self, ref_model):
@@ -169,7 +170,7 @@ class TestBlockedDraws:
             return z[:, 0]
 
         with pytest.raises(ip.NumericError) as excinfo:
-            _run_batches(ip.McConfig(n_paths=300_000, seed=0), 1, values)
+            _run_jobs(ip.McConfig(n_paths=300_000, seed=0), [(1, values)])
         assert excinfo.value is error
         assert seen == [threads_before + 1] * 3   # exactly one helper thread
         assert threading.active_count() == threads_before
@@ -362,7 +363,7 @@ class TestFuturesMartingaleFrozenForwards:
                                                               state[min(u, f)])
                 return total
 
-            assert check.estimate == _run_batches(cfg, max(len(sim_times), 1), values)
+            assert check.estimate == _run_jobs(cfg, [(max(len(sim_times), 1), values)])[0]
             assert check.closed_form == ip.futures_price(
                 ref_model, t, ip.DeliverySet.from_hours(self.STRIP), backbone)
         assert n_frozen == [0, 4, 8]

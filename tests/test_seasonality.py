@@ -86,7 +86,7 @@ class TestModelWeights:
 
 class TestDesignRow:
     def test_epoch_row(self):
-        row = ip.design_row(0.0, EPOCH, make_calendar())
+        row = ip.design_matrix([0.0], EPOCH, make_calendar())[0]
         assert row[0] == 1.0
         assert row[1] == 0.0
         assert row[2] == 0.0          # sin term
@@ -94,28 +94,28 @@ class TestDesignRow:
         assert row.shape == (N_COLUMNS,)
 
     def test_quarter_period(self):
-        row = ip.design_row(365 * 24 / 4, EPOCH, make_calendar())
+        row = ip.design_matrix([365 * 24 / 4], EPOCH, make_calendar())[0]
         assert row[2] == pytest.approx(1.0, abs=1e-12)
         assert row[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_same_weekday_class_one_day_apart(self):
         cal = make_calendar()
         tau = 24.0 * 6 + 9   # Wednesday 09:00 relative to the Thursday epoch
-        a = ip.design_row(tau, EPOCH, cal)
-        b = ip.design_row(tau + 7 * 24.0, EPOCH, cal)
+        a = ip.design_matrix([tau], EPOCH, cal)[0]
+        b = ip.design_matrix([tau + 7 * 24.0], EPOCH, cal)[0]
         assert np.array_equal(a[4:], b[4:])
 
     @given(st.floats(0, 365 * 24 * 3))
     def test_harmonics_periodic(self, tau):
         cal = ip.Calendar()
-        a = ip.design_row(tau, EPOCH, cal)
-        b = ip.design_row(tau + 365 * 24.0, EPOCH, cal)
+        a = ip.design_matrix([tau], EPOCH, cal)[0]
+        b = ip.design_matrix([tau + 365 * 24.0], EPOCH, cal)[0]
         assert a[2] == pytest.approx(b[2], abs=1e-9)
         assert a[3] == pytest.approx(b[3], abs=1e-9)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
-            ip.design_row(-1.0, EPOCH, make_calendar())
+            ip.design_matrix([-1.0], EPOCH, make_calendar())[0]
 
 
 class TestEvaluate:
