@@ -95,8 +95,10 @@ def _hour_rows(hours: float, what: str) -> int:
 def discount(t1: float, t2: float, conv: MarketConventions) -> float:
     """Discount factor ``exp(-r_h (t2 - t1))`` between two times in hours.
 
-    Equals 1 when ``t1 == t2``; requires ``t2 >= t1``.
+    Equals 1 when ``t1 == t2``; requires finite times with ``t2 >= t1``.
     """
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise DomainError(f"discount needs finite times, got t1={t1}, t2={t2}")
     if t2 < t1:
         raise DomainError(f"cannot discount backwards: t1={t1} > t2={t2}")
     return math.exp(-conv.hourly_rate * (t2 - t1))

@@ -75,6 +75,8 @@ def radon_nikodym_path(drift: float, w_increments, grid) -> np.ndarray:
     w_increments = np.asarray(w_increments, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a non-empty 1-d array")
+    if not np.isfinite(grid).all():
+        raise DomainError("grid times must be finite")
     if np.any(np.diff(grid) <= 0):
         raise DomainError("grid must be strictly increasing")
     if w_increments.shape[-1] != grid.size - 1:
@@ -124,10 +126,13 @@ def risk_premium(model: ModelQ, theta: float, t, tau, x_tilde):
     Closed form: ``(L1 - L2) - (L1~ - L2~)`` with the pricing-measure legs
     evaluated at the first-order shifted state.  Zero exactly when
     ``theta = 0``.  Both pairs of legs share one horizon check and one
-    evaluation of the load seasonality at ``tau_e``.
+    evaluation of the load seasonality at ``tau_e``.  The trading times
+    ``t`` must not precede the epoch, where the measure change starts.
     """
-    x = to_risk_neutral_state(x_tilde, model.ou, theta, t)
     horizon, g_tau_e = _horizon_and_load(model, t, tau)
+    if (np.asarray(t) < 0).any():
+        raise DomainError(f"risk premium needs trading times t >= 0, got t = {float(np.min(t))!r}")
+    x = to_risk_neutral_state(x_tilde, model.ou, theta, t)
     leg1, leg2 = _leg_moments(model.supply, model.ou, g_tau_e, horizon, x)
     leg1_p, leg2_p = _real_world_legs(model, theta, tau, horizon, g_tau_e, x_tilde)
     return (leg1 - leg2) - (leg1_p - leg2_p)

@@ -158,6 +158,8 @@ def price_generating(model: ModelQ, t, tau, x):
     """
     t_arr = np.asarray(t, dtype=float)
     tau_e = np.asarray(tau, dtype=float) + model.conv.epsilon
+    if not np.isfinite(tau_e - t_arr).all():   # a NaN is never live, so check first
+        raise DomainError("price_generating needs finite times t and tau")
     live = t_arr <= tau_e
     if not np.any(live):
         return np.zeros(np.broadcast(t_arr, tau_e, np.asarray(x)).shape)
@@ -171,6 +173,8 @@ def _stopped_times(t: float, taus: np.ndarray, conv: MarketConventions):
     """Per delivery, the time ``min(t, tau_i - delta)`` after which its forward
     no longer moves (the day-ahead fixing, or ``t`` if that is earlier), and
     those times each once, in order, as ``(stops, times)``."""
+    if not np.isfinite(t):
+        raise DomainError(f"futures need a finite time t, got {t}")
     stops = np.minimum(t, taus - conv.delta)
     return stops, stops[np.diff(stops, prepend=np.nan) != 0]   # stops never decrease
 

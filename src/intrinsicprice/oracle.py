@@ -286,8 +286,8 @@ def _w_walk(ou: OuParams, x, h: float, z_w, z_i, drift: float = 0.0):
 
 def _forward_plan(model: ModelQ, t: float, tau: float, x_t: float, cfg: McConfig) -> _Plan:
     horizon = tau + model.conv.epsilon - t
-    if horizon < 0:
-        raise DomainError("mc_forward requires t <= tau + epsilon")
+    if not 0 <= horizon < math.inf:
+        raise DomainError("mc_forward requires finite times with t <= tau + epsilon")
     g_tau_e = evaluate(model.load_seasonality, tau + model.conv.epsilon)
     return _Plan([_walk_job(model.ou, x_t, [horizon], cfg,
                             lambda states: intrinsic_price(model, g_tau_e + states[0], tau))])
@@ -322,8 +322,8 @@ def _futures_plan(model: ModelQ, t: float, deliveries: DeliverySet, x_t: float,
                   cfg: McConfig) -> _Plan:
     conv = model.conv
     taus = deliveries.taus
-    if t > taus[0] - conv.delta:
-        raise DomainError("mc_futures requires t at or before the first fixing")
+    if not -math.inf < t <= taus[0] - conv.delta:
+        raise DomainError("mc_futures requires a finite t at or before the first fixing")
     steps = np.diff(taus + conv.epsilon, prepend=t)
     g_vals = evaluate(model.load_seasonality, taus + conv.epsilon)
     weight = math.exp(-conv.hourly_rate * (conv.delta + conv.epsilon)) / taus.size
@@ -347,6 +347,7 @@ def _risk_premium_plan(model: ModelQ, theta: float, t: float, tau: float,
                        x_tilde_t: float, cfg: McConfig) -> _Plan:
     if t > tau:
         raise DomainError("mc_risk_premium requires t <= tau")
+    closed = risk_premium(model, theta, t, tau, x_tilde_t)   # checks t and tau first
     ou = model.ou
     span = tau - t
     f_t = forward_price(model, t, tau, to_risk_neutral_state(x_tilde_t, ou, theta, t))
@@ -363,8 +364,6 @@ def _risk_premium_plan(model: ModelQ, theta: float, t: float, tau: float,
     def values_weighted(z):
         dw, (x_tau,) = _w_walk(ou, x_q, span, z[:, :1], z[:, 1:], cfg.mutation_drift)
         return _terminal_density(density_drift, dw, span) * intraday_price(model, tau, x_tau)
-
-    closed = risk_premium(model, theta, t, tau, x_tilde_t)
 
     def finish(ests):
         direct, weighted = (_scale(est, -1.0, offset=f_t) for est in ests)

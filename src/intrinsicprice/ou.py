@@ -45,8 +45,8 @@ def transition(params: OuParams, x, dt):
     ``lam dt``.  Accepts scalars or arrays for ``x`` and ``dt``.
     """
     dt = np.asarray(dt, dtype=float)
-    if np.any(dt < 0):
-        raise DomainError("transition requires dt >= 0")
+    if not ((dt >= 0) & (dt < np.inf)).all():
+        raise DomainError("transition requires finite dt >= 0")
     mean = x * np.exp(-params.lam * dt)
     variance = params.sigma**2 * -np.expm1(-2.0 * params.lam * dt) / (2.0 * params.lam)
     return mean, variance
@@ -90,6 +90,8 @@ def simulate(params: OuParams, grid, seed: int) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a non-empty 1-d array")
+    if not np.isfinite(grid).all():
+        raise DomainError("grid times must be finite")
     if grid[0] != 0.0:
         raise DomainError(f"grid must start at 0, got {grid[0]}")
     if np.any(np.diff(grid) <= 0):

@@ -229,6 +229,15 @@ class TestRiskPremiumCommand:
         premiums = [float(r.split(",")[1]) for r in rows[1:]]
         assert premiums and all(p == 0.0 for p in premiums)
 
+    def test_negative_trading_time_is_named(self, tmp_path, params_file, capsys):
+        out = tmp_path / "premium.csv"
+        code = cli.main(["risk-premium", "--params", str(params_file), "--tau", "2160",
+                         "--t-start", "-48", "--t-end", "2160", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: risk premium needs trading times t >= 0, got t = -48.0"]
+        assert not out.exists()
+
     def test_premium_path_is_byte_stable(self, tmp_path, params_file):
         outs = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
         for out in outs:
@@ -272,6 +281,15 @@ class TestWarnings:
                        "using defaults\n")
         assert ".py:" not in err
         assert warnings.showwarning is shown   # library callers keep Python's handling
+
+    def test_optimiser_short_of_tolerance(self, tmp_path, data_file, monkeypatch, capsys):
+        monkeypatch.setattr(ip.calibration, "_BFGS_MAXITER", 1)
+        report = tmp_path / "report.txt"
+        assert cli.main(["calibrate", "--data", str(data_file), "--out", str(report)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: direct supply fit did not converge to a usable point; using defaults",
+            "warning: optimiser did not reach the gradient tolerance"]
+        assert "converged False" in report.read_text().splitlines()
 
     def test_skipped_month(self, tmp_path, params_file, data_file, capsys):
         # January's prices blanked but for its last day

@@ -34,6 +34,11 @@ class TestDiscount:
         with pytest.raises(DomainError):
             ip.discount(2.0, 1.0, conv)
 
+    @pytest.mark.parametrize("t1, t2", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)])
+    def test_non_finite_time_rejected(self, conv, t1, t2):
+        with pytest.raises(DomainError, match="discount needs finite times"):
+            ip.discount(t1, t2, conv)
+
     @given(st.floats(0, 5e4), st.floats(0, 5e4), st.floats(0, 5e4))
     def test_composition(self, a, b, c):
         conv = ip.MarketConventions()

@@ -126,6 +126,10 @@ class TestRadonNikodym:
         with pytest.raises(DomainError, match="strictly increasing"):
             ip.radon_nikodym_path(0.1, np.zeros((3, 3)), np.array([0.0, 1.0, 1.0, 2.0]))
 
+    def test_non_finite_grid_rejected(self):
+        with pytest.raises(DomainError, match="grid times must be finite"):
+            ip.radon_nikodym_path(0.1, np.zeros(2), np.array([0.0, np.nan, 2.0]))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError, match="non-empty 1-d array"):
             ip.radon_nikodym_path(0.1, np.zeros((3, 0)), np.array([]))
@@ -239,6 +243,11 @@ class TestRiskPremium:
         premium = ip.risk_premium(ref_model, ref_theta, t, tau, x_tilde)
         assert np.shape(premium) == np.broadcast_shapes(np.shape(t), np.shape(tau))
         assert np.array_equal(premium, legs_q - legs_p)
+
+    @pytest.mark.parametrize("t", [-48.0, np.array([-48.0, 0.0, 100.0])], ids=["scalar", "array"])
+    def test_negative_trading_time_names_t(self, ref_model, ref_theta, t):
+        with pytest.raises(DomainError, match=r"trading times t >= 0, got t = -48\.0$"):
+            ip.risk_premium(ref_model, ref_theta, t, 2160.0, 0.0)
 
     def test_against_monte_carlo_oracle(self, ref_model, ref_theta):
         cfg = ip.McConfig(n_paths=400_000, seed=21)

@@ -206,6 +206,14 @@ class TestPriceGenerating:
         out = ip.price_generating(ref_model, ts, 268.0, 0.0)
         assert out[0] > 0.0 and out[1] > 0.0 and out[2] == 0.0
 
+    # a NaN time is never "live" (t <= tau_e is False), so it used to read 0
+    @pytest.mark.parametrize("t, tau", [(np.nan, 100.0), (np.array([50.0, np.nan]), 100.0),
+                                        (50.0, np.nan), (-np.inf, 100.0)],
+                             ids=["nan-t", "nan-in-array", "nan-tau", "minus-inf-t"])
+    def test_non_finite_time_rejected(self, ref_model, t, tau):
+        with pytest.raises(DomainError, match="finite times t and tau"):
+            ip.price_generating(ref_model, t, tau, 0.0)
+
     def test_euler_sum_error_shrinks_linearly(self, ref_model):
         # representation check over a short window two weeks before settlement
         tau = 2160.0
@@ -281,6 +289,14 @@ class TestFutures:
         strip = ip.DeliverySet.from_hours([268.0, 269.0, 270.0])
         assert ip.required_state_times(100.0, strip, conv) == [100.0]
         assert ip.required_state_times(245.5, strip, conv) == [244.0, 245.0, 245.5]
+
+    @pytest.mark.parametrize("t", [np.nan, -np.inf])
+    def test_non_finite_time_rejected(self, ref_model, conv, t):
+        strip = ip.DeliverySet.from_hours([268.0, 269.0])
+        with pytest.raises(DomainError, match="futures need a finite time t"):
+            ip.required_state_times(t, strip, conv)
+        with pytest.raises(DomainError, match="futures need a finite time t"):
+            ip.futures_price(ref_model, t, strip, {244.0: 0.0, 245.0: 0.0})
 
     # the set-based rule the stopped times used to come from, on a 744 h month:
     # before the first fixing, between fixings and past the last one

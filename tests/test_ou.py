@@ -45,6 +45,11 @@ class TestTransition:
         with pytest.raises(DomainError):
             ip.transition(ref_ou, 0.0, -1.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, [1.0, np.nan]])
+    def test_non_finite_dt_rejected(self, ref_ou, dt):
+        with pytest.raises(DomainError, match="finite dt"):
+            ip.transition(ref_ou, 0.0, dt)
+
     @given(st.floats(0.01, 2.0), st.floats(0.1, 3.0), st.floats(-20, 20),
            st.floats(0.01, 100), st.floats(0.01, 100))
     def test_chapman_kolmogorov(self, lam, sigma, x, dt1, dt2):
@@ -94,6 +99,11 @@ class TestSimulate:
     def test_empty_grid_rejected(self, ref_ou):
         with pytest.raises(DomainError, match="non-empty 1-d array"):
             ip.simulate(ref_ou, [], seed=0)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, 1.0, np.inf]])
+    def test_non_finite_grid_rejected(self, ref_ou, grid):
+        with pytest.raises(DomainError, match="grid times must be finite"):
+            ip.simulate(ref_ou, grid, seed=0)
 
     def test_negative_seed_rejected(self, ref_ou):
         with pytest.raises(DomainError, match="seed must be non-negative"):
