@@ -17,6 +17,13 @@ file gains the workloads run now, so workloads may use different pair
 counts.  The provenance of
 each side is the git SHA and the SHA-256 of ``src/`` that ``run.py``
 prints.
+
+Each workload's summary also lists, under ``over_bound``, every end-to-end
+metric of the repository's ``BENCHMARK.json`` whose change median is worse
+than the parent median by more than that metric's ``bound`` (a share of the
+parent median), and the script prints one line for each.  A metric can be
+flagged while it wins most pairs, or pass while it loses them: the bound
+judges the two medians, not the ratios.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -79,6 +87,26 @@ def summarise(runs: list[dict]) -> dict:
     return summary
 
 
+def over_bound(summary: dict, end_to_end: list[dict]) -> dict:
+    """For each metric of ``end_to_end`` (the ``BENCHMARK.json`` entries,
+    each with ``name``, ``better`` and ``bound``) whose change median is
+    worse than the parent median by more than ``bound``, relative to the
+    parent median, that relative change (positive when worse).  A metric the
+    runs do not report, or whose parent median is 0, is not judged."""
+    flagged = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        parent = summary["parent"].get(name, {}).get("median")
+        if not parent:
+            continue
+        worse = summary["change"][name]["median"] / parent - 1.0
+        if metric["better"] == "higher":
+            worse = -worse
+        if worse > metric["bound"]:
+            flagged[name] = worse
+    return flagged
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout root")
@@ -90,6 +118,8 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
+    bounds = {metric["name"]: metric["bound"] for metric in end_to_end}
 
     record = {"seed": args.seed, "seconds": args.seconds, "sides": {}, "workloads": {}}
     if args.out.exists():   # add to an earlier record of the same comparison
@@ -111,6 +141,10 @@ def main() -> int:
                       + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
                       + f" correct={run['correct']} failed={run['failed']}", flush=True)
         summary = summarise(runs)
+        summary["over_bound"] = over_bound(summary, end_to_end)
+        for name, worse in summary["over_bound"].items():
+            print(f"{workload}: {name} median is {worse:+.1%} against the parent, "
+                  f"past its bound of {bounds[name]:.0%}", flush=True)
         for run in runs:
             run.pop("units")
         record["workloads"][workload] = {"pairs": args.pairs, "summary": summary, "runs": runs}
