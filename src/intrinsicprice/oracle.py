@@ -450,6 +450,8 @@ def mc_lognormal_forward(f0: float, var_integral: float, cfg: McConfig) -> McEst
 
 def _density_unit_mean_plan(ou: OuParams, theta: float, horizon: float,
                             cfg: McConfig) -> _Plan:
+    if not 0 <= horizon < math.inf:
+        raise DomainError(f"density horizon must be finite and non-negative, got {horizon}")
     h = horizon / _DENSITY_STEPS
     sqrt_h = math.sqrt(h)
     density_drift = ou.lam * theta

@@ -247,10 +247,13 @@ class TestDirectOracles:
         (lambda m, cfg: ip.mc_futures(m, np.nan, ip.DeliverySet([268.0]), 0.0, cfg),
          "finite t at or before the first fixing"),
         (lambda m, cfg: ip.mc_risk_premium(m, 0.0, 270.0, 268.0, 0.0, cfg), "t <= tau"),
+        (lambda m, cfg: ip.mc_density_unit_mean(m.ou, 0.1, np.nan, cfg), "finite and non-neg"),
+        (lambda m, cfg: ip.mc_density_unit_mean(m.ou, 0.1, -1.0, cfg), "finite and non-neg"),
         (lambda m, cfg: ip.mc_option(object(), "call", cfg), "unsupported option inputs"),
         (lambda m, cfg: ip.mc_martingale_check(m, [100.0, 270.0], 268.0, cfg),
          r"must not pass tau \+ epsilon"),
-    ], ids=["forward", "forward-nan-t", "futures-nan-t", "risk-premium", "option", "martingale"])
+    ], ids=["forward", "forward-nan-t", "futures-nan-t", "risk-premium", "density-nan",
+            "density-negative", "option", "martingale"])
     def test_estimator_domain_errors(self, ref_model, estimate, match):
         with pytest.raises(DomainError, match=match):
             estimate(ref_model, ip.McConfig(n_paths=100, seed=0))
