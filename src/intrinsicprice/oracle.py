@@ -524,8 +524,8 @@ def _tower_checks(model: ModelQ, label: str, t_list, x_start, cfg: McConfig,
     maps the times of ``needs(u)`` past ``t`` to their states on the exact
     walk from the backbone at ``t``, and earlier times to the backbone."""
     t_list = [float(t) for t in t_list]
-    if any(b <= a for a, b in zip(t_list, t_list[1:])):
-        raise DomainError("t_list must be strictly increasing")
+    if not all(-math.inf < a < b < math.inf for a, b in zip(t_list, t_list[1:])):
+        raise DomainError("t_list must be finite and strictly increasing")
     times = sorted(set(t_list).union(*map(needs, t_list[1:])))
     x = model.ou.x0 if x_start is None else float(x_start)
     backbone = dict(zip(times, [x] + _walk(model.ou, x, np.diff(times), [0.0] * (len(times) - 1),

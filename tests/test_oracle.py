@@ -252,8 +252,10 @@ class TestDirectOracles:
         (lambda m, cfg: ip.mc_option(object(), "call", cfg), "unsupported option inputs"),
         (lambda m, cfg: ip.mc_martingale_check(m, [100.0, 270.0], 268.0, cfg),
          r"must not pass tau \+ epsilon"),
+        (lambda m, cfg: ip.mc_martingale_check(m, [100.0, np.nan], 268.0, cfg),
+         "t_list must be finite"),
     ], ids=["forward", "forward-nan-t", "futures-nan-t", "risk-premium", "density-nan",
-            "density-negative", "option", "martingale"])
+            "density-negative", "option", "martingale", "martingale-nan"])
     def test_estimator_domain_errors(self, ref_model, estimate, match):
         with pytest.raises(DomainError, match=match):
             estimate(ref_model, ip.McConfig(n_paths=100, seed=0))
