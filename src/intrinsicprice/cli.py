@@ -18,15 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, data, oracle
+# what every command needs to parse its flags and load a params file; the
+# commands import calibration, data, measure, options and oracle themselves,
+# so a quote loads only the modules it runs
 from .conventions import (DeliverySet, MarketConventions, _number, _read_pairs, _read_text,
                           load_conventions)
 from .errors import DomainError, EstimationError, NumericError, ParseError
-from .measure import p_seasonality_from_q, q_seasonality_from_p, risk_premium
 from .model import ModelQ, SupplyParams, forward_price, futures_price
-from .options import (LognormalOptionInputs, NormalOptionInputs, bachelier_call,
-                      bachelier_put, black76_call, black76_put)
-from .oracle import McConfig
 from .ou import OuParams
 from .seasonality import (_CALENDAR_TAGS, COLUMN_NAMES, Calendar, SeasonalityModel,
                           _from_coefficients, load_calendar)
@@ -159,6 +157,7 @@ def _load_calendar_arg(args) -> Calendar:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    from . import data
     model, theta = load_model_file(args.params)
     noise = (args.noise, args.noise if args.noise_day_ahead is None else args.noise_day_ahead)
     series = data.generate_synthetic(model, theta, args.span, noise, args.seed)
@@ -168,6 +167,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit_seasonality(args) -> int:
+    from . import calibration, data
     series = data.load_series(args.data)
     cal = _load_calendar_arg(args)
     g_tilde = calibration.fit_load_seasonality(series, cal)
@@ -177,6 +177,7 @@ def _cmd_fit_seasonality(args) -> int:
 
 
 def _cmd_fit_ou(args) -> int:
+    from . import calibration, data
     series = data.load_series(args.data)
     cal = _load_calendar_arg(args)
     g_tilde = calibration.fit_load_seasonality(series, cal)
@@ -188,6 +189,8 @@ def _cmd_fit_ou(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import calibration, data
+    from .measure import q_seasonality_from_p
     series = data.load_series(args.data)
     cal = _load_calendar_arg(args)
     conv = load_conventions(args.conventions) if args.conventions else MarketConventions()
@@ -233,6 +236,8 @@ def _cmd_price(args) -> int:
                               f"got t={args.t} > {first_fix}")
         value = futures_price(model, args.t, deliveries, {args.t: args.x})
     else:  # option
+        from .options import (LognormalOptionInputs, NormalOptionInputs, bachelier_call,
+                              bachelier_put, black76_call, black76_put)
         if args.family == "normal":
             inp = NormalOptionInputs(forward=args.forward, strike=args.strike,
                                      sigma_ut=args.sigma_ut, span=args.span, rate=args.rate)
@@ -248,6 +253,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_risk_premium(args) -> int:
+    from .measure import risk_premium
     model, theta = load_model_file(args.params)
     if args.t_step <= 0 or args.t_end < args.t_start:
         raise DomainError("need t_step > 0 and t_end >= t_start")
@@ -268,6 +274,8 @@ def _cmd_risk_premium(args) -> int:
 
 
 def _cmd_implied_theta(args) -> int:
+    from . import calibration, data
+    from .measure import p_seasonality_from_q
     model, theta = load_model_file(args.params)
     series = data.load_series(args.data)
     # params files store the pricing-measure shape; the objective wants the real-world fit
@@ -282,11 +290,12 @@ def _cmd_implied_theta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import data, oracle
     if args.params:
         model, theta = load_model_file(args.params)
     else:
         model, theta = data.reference_model()
-    cfg = McConfig(n_paths=args.paths, seed=args.seed, mutation_drift=args.mutation)
+    cfg = oracle.McConfig(n_paths=args.paths, seed=args.seed, mutation_drift=args.mutation)
     checks = oracle.run_verification_suite(model, theta, cfg, nested_paths=args.nested_paths)
     print(oracle.format_report(checks))
     counted = [c for c in checks if not c.informational]
