@@ -100,7 +100,10 @@ def _horizon_and_load(model: ModelQ, t, tau):
     if not np.isfinite(horizon).all():
         raise DomainError("supply leg moments need finite times t and tau")
     if (horizon < 0).any():
-        raise DomainError("supply leg moments require t <= tau + epsilon")
+        first = np.flatnonzero(horizon < 0)[0]
+        t_bad, tau_bad = (float(np.broadcast_to(v, horizon.shape).flat[first]) for v in (t, tau))
+        raise DomainError("supply leg moments require t <= tau + epsilon; "
+                          f"got t = {t_bad!r} with tau = {tau_bad!r}")
     return horizon, evaluate(model.load_seasonality, tau_e)
 
 

@@ -94,15 +94,22 @@ def _classify_days(day_indices: np.ndarray, epoch: _dt.date, cal: Calendar) -> n
     return classes
 
 
+_TAU_END = 2.0 ** 63   # the first float whose whole hours do not fit an int64
+
+
 def _hours_and_classes(tau, epoch: _dt.date, cal: Calendar):
-    """``tau`` (finite hours since midnight of ``epoch``, at least 0) as a
-    float array of at least one dimension, with the hour of day and the
-    weekday class of each entry."""
+    """``tau`` (finite hours since midnight of ``epoch``, at least 0 and
+    below 2**63, so that its whole hours fit an int64) as a float array of
+    at least one dimension, with the hour of day and the weekday class of
+    each entry."""
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if not np.isfinite(taus).all():
-        raise DomainError("seasonality needs finite times tau")
-    if (taus < 0).any():
-        raise DomainError("seasonality is defined for tau >= 0 only")
+    # two reductions on the hot path; both comparisons are False for a NaN
+    if taus.size and not (taus.min() >= 0 and taus.max() < _TAU_END):
+        if not np.isfinite(taus).all():
+            raise DomainError("seasonality needs finite times tau")
+        outside = (taus < 0) | (taus >= _TAU_END)
+        raise DomainError("seasonality is defined for tau >= 0 only, below 2**63 hours; "
+                          f"got tau = {float(taus[outside][0])!r}")
     whole = np.floor(taus).astype(np.int64)
     return taus, whole % 24, _classify_days(whole // 24, epoch, cal)
 

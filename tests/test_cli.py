@@ -380,6 +380,27 @@ class TestUsageErrors:
             code = exc.code
         assert code == 2
 
+    # a delivery time whose whole hours do not fit an int64 used to print
+    # numpy's cast warning and then a NumericError
+    @pytest.mark.parametrize("argv", [
+        ["price", "forward", "--params", "{params}", "--t", "0", "--tau", "1e300"],
+        ["price", "futures", "--params", "{params}", "--t", "0", "--deliveries", "1e300"],
+        ["risk-premium", "--params", "{params}", "--tau", "1e300", "--t-start", "0",
+         "--t-end", "48", "--out", "{out}"],
+    ], ids=["forward", "futures", "risk-premium"])
+    def test_time_past_int64_hours_is_one_error_line(self, argv, tmp_path, params_file, capsys):
+        argv = [a.format(params=params_file, out=tmp_path / "premium.csv") for a in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seasonality is defined for tau >= 0 only, below 2**63 hours; "
+            "got tau = 1e+300"]
+
+    def test_delivery_before_trading_time_names_both(self, params_file, capsys):
+        assert cli.main(["price", "forward", "--params", str(params_file),
+                         "--t", "100", "--tau", "50"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: supply leg moments require t <= tau + epsilon; got t = 100.0 with tau = 50.0"]
+
     # the first two ask for an array of several PiB, which numpy refuses before
     # allocating; the last two for a grid with no points
     @pytest.mark.parametrize("argv, err", [

@@ -73,8 +73,12 @@ class TestSupplyLegExpectation:
         assert abs(draws.mean() / closed - 1.0) < 5e-3
 
     def test_future_settlement_required(self, flat_model):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"t <= tau \+ epsilon; got t = 102.0 with tau = 100.0$"):
             ip.supply_leg_expectation(flat_model, 102.0, 100.0, 0.0)
+        # the first offending pair of the broadcast, in C order
+        with pytest.raises(DomainError, match="got t = 90.0 with tau = 50.0$"):
+            ip.forward_price(flat_model, np.array([[1.0], [90.0]]), np.array([50.0, 100.0]), 0.0)
 
     @pytest.mark.parametrize("t, tau", [(np.nan, 100.0), (-np.inf, 100.0),
                                         (np.array([90.0, np.nan]), 100.0)],

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import re
 import sys
 import threading
 
@@ -157,6 +158,20 @@ class TestEvaluate:
         for tau in (-1.0, np.array([5.0, -1e-9])):
             with pytest.raises(DomainError, match="tau >= 0 only"):
                 ip.evaluate(model, tau)
+
+    # 2**63 is the first float whose whole hours do not fit an int64; the
+    # cast used to give a garbage value with only numpy's RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau, named", [(np.array([5.0, 1e19, 2.0 ** 63]), 1e19),
+                                            (2.0 ** 63, 2.0 ** 63), (1e300, 1e300)],
+                             ids=["array", "two-to-63", "1e300"])
+    def test_times_past_int64_hours_rejected(self, rng, tau, named):
+        model = random_model(rng)
+        named = re.escape(repr(named))
+        with pytest.raises(DomainError, match=f"tau >= 0 only.*got tau = {named}$"):
+            ip.evaluate(model, tau)
+        last = np.nextafter(2.0 ** 63, 0.0)
+        assert np.isfinite(ip.evaluate(model, last))
 
     @pytest.mark.parametrize("tau", [np.array([np.nan, 5.0]), np.inf, np.array([-np.inf])],
                              ids=["nan", "inf", "minus-inf"])
