@@ -84,3 +84,17 @@ def test_a_higher_is_better_metric_is_flagged_when_it_falls():
     summary = bench_record.summarise(_runs([100.0] * 3, [80.0] * 3))
     rate = [{"name": "wall_s", "better": "higher", "bound": 0.1}]
     assert bench_record.over_bound(summary, rate) == {"wall_s": pytest.approx(0.2)}
+
+
+def test_wrong_output_and_failed_operations_are_listed():
+    runs = _runs([1.0] * 3, [0.9] * 3)
+    for run in runs:
+        run.update(correct=True, failed=0, attempted=10)
+    runs[1].update(correct=False)              # pair 0, change
+    runs[4].update(failed=2)                   # pair 2, parent
+    listed = bench_record.incorrect(runs)
+    assert listed == [{"pair": 0, "side": "change", "correct": False, "failed": 0},
+                      {"pair": 2, "side": "parent", "correct": True, "failed": 2}]
+    for run in runs:
+        run.update(correct=True, failed=0)
+    assert bench_record.incorrect(runs) == []

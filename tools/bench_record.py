@@ -24,6 +24,10 @@ than the parent median by more than that metric's ``bound`` (a share of the
 parent median), and the script prints one line for each.  A metric can be
 flagged while it wins most pairs, or pass while it loses them: the bound
 judges the two medians, not the ratios.
+
+It also lists, under ``incorrect``, every run that reported ``correct:
+false`` or a ``failed`` count above 0, and prints one line for each: the
+benchmark refuses a change with such a run whatever its medians read.
 """
 
 from __future__ import annotations
@@ -107,6 +111,13 @@ def over_bound(summary: dict, end_to_end: list[dict]) -> dict:
     return flagged
 
 
+def incorrect(runs: list[dict]) -> list[dict]:
+    """The pair, side, ``correct`` and ``failed`` of each run that reported
+    wrong output or a failed operation, in the recorded order."""
+    return [{key: run[key] for key in ("pair", "side", "correct", "failed")}
+            for run in runs if not run["correct"] or run["failed"]]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout root")
@@ -145,6 +156,10 @@ def main() -> int:
         for name, worse in summary["over_bound"].items():
             print(f"{workload}: {name} median is {worse:+.1%} against the parent, "
                   f"past its bound of {bounds[name]:.0%}", flush=True)
+        summary["incorrect"] = incorrect(runs)
+        for run in summary["incorrect"]:
+            print(f"{workload} pair {run['pair']} {run['side']}: correct={run['correct']} "
+                  f"failed={run['failed']}, a run the benchmark refuses", flush=True)
         for run in runs:
             run.pop("units")
         record["workloads"][workload] = {"pairs": args.pairs, "summary": summary, "runs": runs}
